@@ -2,8 +2,29 @@
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` or ``;``
 comments.  Unknown sections or keys are hard errors that name the offending
-line, so a typo cannot silently fall back to a default.  Every key has a
-documented default; the minimal valid file is just
+line, so a typo cannot silently fall back to a default.
+
+Each key sets one field of a config dataclass (see ``SCHEMA``) and is parsed
+by that field's type annotation.  A key missing from the file keeps the
+dataclass default; defaults live only there:
+
+    [devices]      FleetSpec
+    [data]         DataConfig, PartitionSpec, DiversityConfig (measure,
+                   embedding and sampling knobs), DissimilarityMetric
+                   (metric, metric_sigma)
+    [train]        TrainConfig, except its seed: every device and round
+                   trains with its own seed
+    [network]      NetworkConfig
+    [constraints]  ConstraintConfig; min_data_size defaults to the [train]
+                   batch_size
+    [scheduler]    SimulationConfig (policy, k, aggregation, q,
+                   size_priority_inverse), ScoreWeights, DiversityConfig
+                   (the model-diversity weights, cap and percentile)
+    [experiment]   ExperimentSpec (name, seeds, schedulers, output_dir),
+                   SimulationConfig (rounds_max, target_accuracy); each
+                   sweep seed is the master seed of its run
+
+The minimal valid file is just
 
     [experiment]
     name = demo
@@ -11,17 +32,34 @@ documented default; the minimal valid file is just
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+import functools
+import typing
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .datagen import FleetSpec, PartitionSpec
-from .diversity import DissimilarityMetric, DiversityConfig
-from .engine import DataConfig, SimulationConfig
+from .datagen import FleetSpec
+from .engine import SimulationConfig
 from .errors import ConfigError, FeelsimError
 from .learning import TrainConfig
 from .network import NetworkConfig
-from .scheduler import ConstraintConfig, ScoreWeights
+from .scheduler import ConstraintConfig
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A named batch of runs: one base config swept over schedulers x seeds."""
+
+    name: str
+    base: SimulationConfig
+    schedulers: list[str] = field(default_factory=lambda: ["diversity_pre"])
+    seeds: list[int] = field(default_factory=lambda: [0])
+    output_dir: str = "results"
+
+    def __post_init__(self):
+        if not self.name:
+            raise ConfigError("experiment name must be non-empty")
+        if not self.schedulers or not self.seeds:
+            raise ConfigError("need at least one scheduler and one seed")
 
 
 def _parse_bool(text: str) -> bool:
@@ -33,128 +71,84 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_opt_float(text: str) -> Optional[float]:
     if text.lower() in ("none", ""):
         return None
     return float(text)
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+def _list_parser(item):
+    return lambda text: [item(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _parse_str_list(text: str) -> list:
-    return [part.strip() for part in text.split(",") if part.strip()]
+# field annotation -> parser of the value text
+PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    Optional[float]: _parse_opt_float,
+    list[int]: _list_parser(int),
+    list[str]: _list_parser(str),
+}
 
 
-# section -> key -> (parser, default); None default means "required".
+def _same_names(prefix: str, *names: str) -> dict:
+    return {name: (prefix + name,) for name in names}
+
+
+# section -> key -> the fields it sets, as dotted paths from ExperimentSpec
 SCHEMA = {
     "devices": {
-        "n_devices": (int, 20),
-        "cpu_freq_min": (_parse_float, 5e8),
-        "cpu_freq_max": (_parse_float, 2e9),
-        "cycles_per_sample_min": (_parse_float, 5e5),
-        "cycles_per_sample_max": (_parse_float, 2e6),
-        "tx_power_min": (_parse_float, 0.2),
-        "tx_power_max": (_parse_float, 1.0),
-        "energy_per_cycle": (_parse_float, 1e-9),
-        "capacity_joules": (_parse_float, 200.0),
-        "battery_min": (_parse_float, 0.7),
-        "battery_max": (_parse_float, 1.0),
-        "mean_snr_db": (_parse_float, 10.0),
-        "snr_spread_db": (_parse_float, 3.0),
-        "std_snr_db": (_parse_float, 2.0),
+        **_same_names("base.fleet.", *(f.name for f in fields(FleetSpec))),
+        "n_devices": ("base.fleet.n_devices", "base.data.partition.n_devices"),
     },
     "data": {
-        "n_classes": (int, 4),
-        "dim": (int, 8),
-        "samples_per_class": (int, 250),
-        "class_sep": (_parse_float, 3.0),
-        "test_fraction": (_parse_float, 0.2),
-        "skew": (str, "iid"),
-        "alpha": (_parse_float, 1.0),
-        "size_dist": (str, "balanced"),
-        "size_sigma": (_parse_float, 1.0),
-        "power_exponent": (_parse_float, 2.0),
-        "min_size": (int, 1),
-        "redundancy_factor": (_parse_float, 0.0),
-        "measure": (str, "shannon"),
-        "embedding_m": (int, 2),
-        "tolerance_scale": (_parse_float, 0.2),
-        "uncertainty_cap": (_parse_float, 2.5),
-        "metric": (str, "euclidean"),
-        "metric_sigma": (_parse_opt_float, None),
-        "sample_size": (int, 64),
+        **_same_names("base.data.", "n_classes", "dim", "samples_per_class", "class_sep", "test_fraction"),
+        **_same_names("base.data.partition.", "skew", "alpha", "size_dist", "size_sigma", "power_exponent"),
+        **_same_names("base.data.partition.", "min_size", "redundancy_factor"),
+        **_same_names("base.data.diversity.", "embedding_m", "tolerance_scale", "uncertainty_cap", "sample_size"),
+        "measure": ("base.data.diversity.classification_measure",),
+        "metric": ("base.data.diversity.metric.kind",),
+        "metric_sigma": ("base.data.diversity.metric.sigma",),
     },
-    "train": {
-        "epochs": (int, 1),
-        "batch_size": (int, 16),
-        "learning_rate": (_parse_float, 0.1),
-        "l2_reg": (_parse_float, 0.0),
-        "seed": (int, 0),
-    },
-    "network": {
-        "total_bandwidth": (_parse_float, 1e6),
-        "model_size_bits": (_parse_float, 1e6),
-        "allocation_strategy": (str, "equal"),
-    },
-    "constraints": {
-        "min_battery": (_parse_float, 0.05),
-        "min_snr_db": (_parse_float, -10.0),
-        "completion_threshold": (_parse_float, math.inf),
-        "min_participants": (int, 1),
-        "min_data_size": (int, -1),  # -1: default to the training batch size
-    },
+    "train": _same_names("base.train.", "epochs", "batch_size", "learning_rate", "l2_reg"),
+    "network": _same_names("base.network.", *(f.name for f in fields(NetworkConfig))),
+    "constraints": _same_names("base.constraints.", *(f.name for f in fields(ConstraintConfig))),
     "scheduler": {
-        "policy": (str, "diversity_pre"),
-        "k": (int, 10),
-        "w_diversity": (_parse_float, 0.6),
-        "w_battery": (_parse_float, 0.2),
-        "w_channel": (_parse_float, 0.2),
-        "aggregation": (str, "fedavg"),
-        "q": (_parse_float, 0.0),
-        "size_priority_inverse": (_parse_bool, False),
-        "w_model_dissimilarity": (_parse_float, 0.7),
-        "w_model_redundancy": (_parse_float, 0.3),
-        "redundancy_cap": (_parse_float, 1.0),
-        "outlier_percentile": (_parse_float, 95.0),
+        **_same_names("base.", "policy", "aggregation", "size_priority_inverse"),
+        "k": ("base.k_per_round",),
+        "q": ("base.qffl_q",),
+        **_same_names("base.weights.", "w_diversity", "w_battery", "w_channel"),
+        "w_model_dissimilarity": ("base.data.diversity.model_dissimilarity_weight",),
+        "w_model_redundancy": ("base.data.diversity.model_redundancy_weight",),
+        **_same_names("base.data.diversity.", "redundancy_cap", "outlier_percentile"),
     },
     "experiment": {
-        "name": (str, None),
-        "rounds_max": (int, 50),
-        "target_accuracy": (_parse_opt_float, None),
-        "seeds": (_parse_int_list, [0]),
-        "schedulers": (_parse_str_list, ["diversity_pre"]),
-        "output_dir": (str, "results"),
-        "master_seed": (int, 0),
+        **_same_names("", "name", "seeds", "schedulers", "output_dir"),
+        **_same_names("base.", "rounds_max", "target_accuracy"),
     },
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named batch of runs: one base config swept over schedulers x seeds."""
-
-    name: str
-    base: SimulationConfig
-    schedulers: list = field(default_factory=lambda: ["diversity_pre"])
-    seeds: list = field(default_factory=lambda: [0])
-    output_dir: str = "results"
-
-    def __post_init__(self):
-        if not self.name:
-            raise ConfigError("experiment name must be non-empty")
-        if not self.schedulers or not self.seeds:
-            raise ConfigError("need at least one scheduler and one seed")
+_type_hints = functools.cache(typing.get_type_hints)  # resolving them evaluates every annotation
 
 
-def _read_raw(path: str) -> dict:
-    """path -> {section: {key: (value, line_no)}}, structure errors named."""
-    raw: dict = {}
+def _annotation(path: str):
+    """Type annotation of the field at a dotted path from ExperimentSpec."""
+    hint = ExperimentSpec
+    for name in path.split("."):
+        hint = _type_hints(hint)[name]
+    return hint
+
+
+def _read_values(path: str) -> dict:
+    """path -> {field path: parsed value} for every key the file sets.
+
+    Structure errors and bad values name the offending line.
+    """
+    values: dict = {}
+    seen: set = set()
     section = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -165,126 +159,53 @@ def _read_raw(path: str) -> dict:
                 section = stripped[1:-1].strip()
                 if section not in SCHEMA:
                     raise ConfigError(f"{path}:{line_no}: unknown section [{section}]")
-                raw.setdefault(section, {})
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {stripped!r}")
             if section is None:
                 raise ConfigError(f"{path}:{line_no}: key outside any [section]")
-            key, _, value = stripped.partition("=")
+            key, _, text = stripped.partition("=")
             key = key.strip()
             if key not in SCHEMA[section]:
                 raise ConfigError(f"{path}:{line_no}: unknown key '{key}' in [{section}]")
-            if key in raw[section]:
+            if (section, key) in seen:
                 raise ConfigError(f"{path}:{line_no}: duplicate key '{key}' in [{section}]")
-            raw[section][key] = (value.strip(), line_no)
-    return raw
-
-
-def _coerce(path: str, raw: dict) -> dict:
-    values: dict = {}
-    for section, keys in SCHEMA.items():
-        values[section] = {}
-        for key, (parser, default) in keys.items():
-            if section in raw and key in raw[section]:
-                text, line_no = raw[section][key]
-                try:
-                    values[section][key] = parser(text)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{line_no}: bad value for '{key}': {exc}") from exc
-            elif default is None and (section, key) == ("experiment", "name"):
-                raise ConfigError(f"{path}: missing required key 'name' in [experiment]")
-            else:
-                values[section][key] = default
+            seen.add((section, key))
+            targets = SCHEMA[section][key]
+            try:
+                value = PARSERS[_annotation(targets[0])](text.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line_no}: bad value for '{key}': {exc}") from exc
+            values.update(dict.fromkeys(targets, value))
     return values
+
+
+def _with_values(obj, values: dict, prefix: str):
+    """``obj`` with every field that ``values`` sets under ``prefix`` replaced."""
+    changes = {}
+    for f in fields(obj):
+        path = prefix + f.name
+        if path in values:
+            changes[f.name] = values[path]
+        elif any(key.startswith(path + ".") for key in values):
+            changes[f.name] = _with_values(getattr(obj, f.name), values, path + ".")
+    return replace(obj, **changes)
 
 
 def load_config(path: str) -> ExperimentSpec:
     """Parse and validate a config file into an ExperimentSpec."""
-    values = _coerce(path, _read_raw(path))
-    dev, dat, trn = values["devices"], values["data"], values["train"]
-    net, con, sch, exp = values["network"], values["constraints"], values["scheduler"], values["experiment"]
-
+    values = _read_values(path)
+    if "name" not in values:
+        raise ConfigError(f"{path}: missing required key 'name' in [experiment]")
+    if values.get("base.data.diversity.metric.kind") != "heat_kernel":
+        values.pop("base.data.diversity.metric.sigma", None)  # only the heat kernel has a width
+    # a device with fewer samples than one mini-batch cannot make a full step
+    values.setdefault("base.constraints.min_data_size", values.get("base.train.batch_size", TrainConfig.batch_size))
     try:
-        fleet = FleetSpec(**dev)
-        metric_kind = dat["metric"]
-        sigma = dat["metric_sigma"] if metric_kind == "heat_kernel" else None
-        diversity = DiversityConfig(
-            classification_measure=dat["measure"],
-            embedding_m=dat["embedding_m"],
-            tolerance_scale=dat["tolerance_scale"],
-            uncertainty_cap=dat["uncertainty_cap"],
-            metric=DissimilarityMetric(metric_kind, sigma),
-            sample_size=dat["sample_size"],
-            model_dissimilarity_weight=sch["w_model_dissimilarity"],
-            model_redundancy_weight=sch["w_model_redundancy"],
-            redundancy_cap=sch["redundancy_cap"],
-            outlier_percentile=sch["outlier_percentile"],
-        )
-        part = PartitionSpec(
-            n_devices=dev["n_devices"],
-            skew=dat["skew"],
-            alpha=dat["alpha"],
-            size_dist=dat["size_dist"],
-            size_sigma=dat["size_sigma"],
-            power_exponent=dat["power_exponent"],
-            min_size=dat["min_size"],
-            redundancy_factor=dat["redundancy_factor"],
-        )
-        data = DataConfig(
-            n_classes=dat["n_classes"],
-            dim=dat["dim"],
-            samples_per_class=dat["samples_per_class"],
-            class_sep=dat["class_sep"],
-            test_fraction=dat["test_fraction"],
-            partition=part,
-            diversity=diversity,
-        )
-        train = TrainConfig(
-            epochs=trn["epochs"],
-            batch_size=trn["batch_size"],
-            learning_rate=trn["learning_rate"],
-            l2_reg=trn["l2_reg"],
-            seed=trn["seed"],
-        )
-        network = NetworkConfig(**net)
-        min_data = con["min_data_size"]
-        constraints = ConstraintConfig(
-            min_battery=con["min_battery"],
-            min_snr_db=con["min_snr_db"],
-            completion_threshold=con["completion_threshold"],
-            min_participants=con["min_participants"],
-            min_data_size=train.batch_size if min_data < 0 else min_data,
-        )
-        weights = ScoreWeights(sch["w_diversity"], sch["w_battery"], sch["w_channel"])
-        base = SimulationConfig(
-            fleet=fleet,
-            data=data,
-            train=train,
-            network=network,
-            constraints=constraints,
-            weights=weights,
-            policy=sch["policy"],
-            k_per_round=sch["k"],
-            aggregation=sch["aggregation"],
-            qffl_q=sch["q"],
-            rounds_max=exp["rounds_max"],
-            target_accuracy=exp["target_accuracy"],
-            master_seed=exp["master_seed"],
-            size_priority_inverse=sch["size_priority_inverse"],
-        )
-    except ConfigError:
-        raise
+        base = _with_values(SimulationConfig(), values, "base.")
     except FeelsimError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    return ExperimentSpec(
-        name=exp["name"],
-        base=base,
-        schedulers=exp["schedulers"],
-        seeds=exp["seeds"],
-        output_dir=exp["output_dir"],
-    )
+    return ExperimentSpec(base=base, **{key: value for key, value in values.items() if "." not in key})
 
 
 def spec_with_overrides(

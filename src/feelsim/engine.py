@@ -13,7 +13,6 @@ bit-for-bit: identical configs yield identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -192,12 +191,25 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
     )
 
 
-def _resample_round_channels(state: SimulationState) -> None:
+def _eligible(state: SimulationState) -> list:
+    """Fade every channel for this round, then apply the hard constraints."""
     cfg = state.cfg
     state.devices = {
         did: replace(dev, channel=resample_channel(dev.channel, cfg.master_seed, did, state.round))
         for did, dev in state.devices.items()
     }
+    ordered = [state.devices[did] for did in sorted(state.devices)]
+    return filter_eligible(ordered, cfg.constraints, cfg.network, cfg.train.epochs)
+
+
+def _train(state: SimulationState, devices: list) -> dict:
+    """Each device's local update from the current global model, by id."""
+    cfg = state.cfg
+    updates = {}
+    for dev in devices:
+        tcfg = replace(cfg.train, seed=seeding.derive_seed(cfg.master_seed, seeding.TRAINING, dev.id, state.round))
+        updates[dev.id] = local_train(state.model, dev.dataset, tcfg, device_id=dev.id)
+    return updates
 
 
 def _drain(state: SimulationState, device_id: int, joules: float) -> float:
@@ -210,120 +222,79 @@ def _drain(state: SimulationState, device_id: int, joules: float) -> float:
     return charged
 
 
-def _mark_participation(state: SimulationState, device_id: int) -> None:
-    dev = state.devices[device_id]
-    state.devices[device_id] = replace(
-        dev,
-        participation_count=dev.participation_count + 1,
-        last_participation_round=state.round,
-    )
-
-
-def _jain(state: SimulationState) -> float:
-    return jain_fairness({did: d.participation_count for did, d in state.devices.items()})
-
-
-def _aggregate(cfg: SimulationConfig, updates: list) -> ModelParams:
-    if cfg.aggregation == "loss_weighted":
-        return aggregate_loss_weighted(updates, cfg.qffl_q)
-    return aggregate_fedavg(updates)
-
-
-def _train_one(state: SimulationState, device_id: int):
+def _schedule(state: SimulationState, eligible: list) -> ScheduleDecision:
+    """Pre-training selection by the configured policy."""
     cfg = state.cfg
-    dev = state.devices[device_id]
-    tcfg = replace(cfg.train, seed=seeding.derive_seed(cfg.master_seed, seeding.TRAINING, device_id, state.round))
-    return local_train(state.model, dev.dataset, tcfg, device_id=device_id)
+    k, shared = cfg.k_per_round, (cfg.constraints, cfg.network, cfg.train.epochs)
+    if cfg.policy == "diversity_pre":
+        diversity = {d.id: dataset_report(d, state.dataset_profiles[d.id]).diversity_index for d in eligible}
+        return schedule_pre_training(eligible, diversity, k, cfg.weights, *shared)
+    if cfg.policy == "age_fair":
+        return schedule_age_fair(eligible, k, state.round, *shared)
+    seed = seeding.derive_seed(cfg.master_seed, seeding.SCHEDULING, state.round)
+    if cfg.policy == "random":
+        return schedule_random(eligible, k, seed, *shared)
+    return schedule_data_size_priority(eligible, k, seed, *shared, inverse=cfg.size_priority_inverse)
 
 
-def _finish_round(state: SimulationState, record: RoundRecord) -> RoundRecord:
+def _finish_round(
+    state: SimulationState, decision: ScheduleDecision, updates: dict, sunk_times: dict, sunk_energy: dict
+) -> RoundRecord:
+    """Both modes' tail: uploads, aggregation, evaluation, the round record.
+
+    ``sunk_*`` is what devices spent training before the server decided; it
+    stays charged, and is all the round records, when the round aborts.  A
+    selected device with nothing sunk pays for its training and its upload
+    as one charge.
+    """
+    cfg = state.cfg
+    epochs = cfg.train.epochs
+    participants = tuple(sorted(decision.selected)) if decision.round_valid else ()
+    times, energies = {} if participants else dict(sunk_times), dict(sunk_energy)
+    for did in participants:
+        dev = state.devices[did]
+        t_comm = cfg.network.model_size_bits / channel_rate(dev.channel, decision.bandwidth_share[did])
+        times[did] = compute_time(dev, dev.dataset.n_samples, epochs) + t_comm
+        joules = energy_transmit(dev, t_comm)
+        if did not in sunk_energy:
+            joules = energy_compute(dev, dev.dataset.n_samples, epochs) + joules
+        energies[did] = energies.get(did, 0.0) + _drain(state, did, joules)
+        dev = state.devices[did]
+        state.devices[did] = replace(
+            dev, participation_count=dev.participation_count + 1, last_participation_round=state.round
+        )
+
+    if participants:
+        chosen = [updates[did] for did in participants]
+        if cfg.aggregation == "loss_weighted":
+            state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)
+        else:
+            state.model = aggregate_fedavg(chosen)
+    else:
+        state.aborted += 1
+    accuracy, loss = evaluate(state.model, state.test_set)
+    record = RoundRecord(
+        round=state.round,
+        duration_s=max(times.values(), default=0.0),
+        total_energy_j=sum(energies.values()),
+        participants=participants,
+        global_accuracy=accuracy,
+        global_loss=loss,
+        jain_fairness=jain_fairness({did: d.participation_count for did, d in state.devices.items()}),
+        aborted=not participants,
+        device_times=times,
+        device_energy=energies,
+    )
     state.records.append(record)
     state.round += 1
     return record
 
 
-def _abort_record(state: SimulationState, device_times: dict, device_energy: dict) -> RoundRecord:
-    accuracy, loss = evaluate(state.model, state.test_set)
-    state.aborted += 1
-    return RoundRecord(
-        round=state.round,
-        duration_s=max(device_times.values()) if device_times else 0.0,
-        total_energy_j=sum(device_energy.values()),
-        participants=(),
-        global_accuracy=accuracy,
-        global_loss=loss,
-        jain_fairness=_jain(state),
-        aborted=True,
-        device_times=device_times,
-        device_energy=device_energy,
-    )
-
-
-def _schedule(state: SimulationState, eligible: list) -> ScheduleDecision:
-    cfg = state.cfg
-    if cfg.policy == "diversity_pre":
-        diversity = {d.id: dataset_report(d, state.dataset_profiles[d.id]).diversity_index for d in eligible}
-        return schedule_pre_training(
-            eligible, diversity, cfg.k_per_round, cfg.weights, cfg.constraints, cfg.network, cfg.train.epochs
-        )
-    if cfg.policy == "random":
-        seed = seeding.derive_seed(cfg.master_seed, seeding.SCHEDULING, state.round)
-        return schedule_random(eligible, cfg.k_per_round, seed, cfg.constraints, cfg.network, cfg.train.epochs)
-    if cfg.policy == "data_size":
-        seed = seeding.derive_seed(cfg.master_seed, seeding.SCHEDULING, state.round)
-        return schedule_data_size_priority(
-            eligible,
-            cfg.k_per_round,
-            seed,
-            cfg.constraints,
-            cfg.network,
-            cfg.train.epochs,
-            inverse=cfg.size_priority_inverse,
-        )
-    if cfg.policy == "age_fair":
-        return schedule_age_fair(
-            eligible, cfg.k_per_round, state.round, cfg.constraints, cfg.network, cfg.train.epochs
-        )
-    raise ValidationError("unknown_policy", cfg.policy)
-
-
 def run_round_pre(state: SimulationState) -> RoundRecord:
     """One select-train-upload-aggregate round; only selected devices work."""
-    cfg = state.cfg
-    _resample_round_channels(state)
-    ordered = [state.devices[did] for did in sorted(state.devices)]
-    eligible = filter_eligible(ordered, cfg.constraints, cfg.network, cfg.train.epochs)
-    decision = _schedule(state, eligible)
-    if not decision.round_valid:
-        return _finish_round(state, _abort_record(state, {}, {}))
-
-    times, energies, updates = {}, {}, []
-    for did in sorted(decision.selected):
-        dev = state.devices[did]
-        t_compute = compute_time(dev, dev.dataset.n_samples, cfg.train.epochs)
-        rate = channel_rate(dev.channel, decision.bandwidth_share[did])
-        t_comm = cfg.network.model_size_bits / rate
-        times[did] = t_compute + t_comm
-        joules = energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs) + energy_transmit(dev, t_comm)
-        updates.append(_train_one(state, did))
-        energies[did] = _drain(state, did, joules)
-        _mark_participation(state, did)
-
-    state.model = _aggregate(cfg, updates)
-    accuracy, loss = evaluate(state.model, state.test_set)
-    record = RoundRecord(
-        round=state.round,
-        duration_s=max(times.values()),
-        total_energy_j=sum(energies.values()),
-        participants=tuple(sorted(decision.selected)),
-        global_accuracy=accuracy,
-        global_loss=loss,
-        jain_fairness=_jain(state),
-        aborted=False,
-        device_times=times,
-        device_energy=energies,
-    )
-    return _finish_round(state, record)
+    decision = _schedule(state, _eligible(state))
+    selected = [state.devices[did] for did in decision.selected] if decision.round_valid else []
+    return _finish_round(state, decision, _train(state, selected), sunk_times={}, sunk_energy={})
 
 
 def run_round_post(state: SimulationState) -> RoundRecord:
@@ -335,16 +306,12 @@ def run_round_post(state: SimulationState) -> RoundRecord:
     """
     cfg = state.cfg
     data = cfg.data
-    _resample_round_channels(state)
-    ordered = [state.devices[did] for did in sorted(state.devices)]
-    eligible = filter_eligible(ordered, cfg.constraints, cfg.network, cfg.train.epochs)
-
-    compute_times, energies, updates = {}, {}, {}
+    eligible = _eligible(state)
+    updates = _train(state, eligible)
+    compute_times, energies = {}, {}
     for dev in eligible:
-        did = dev.id
-        compute_times[did] = compute_time(dev, dev.dataset.n_samples, cfg.train.epochs)
-        updates[did] = _train_one(state, did)
-        energies[did] = _drain(state, did, energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs))
+        compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, cfg.train.epochs)
+        energies[dev.id] = _drain(state, dev.id, energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs))
 
     grouping = (data.n_classes, data.dim + 1)
     div = data.diversity
@@ -361,40 +328,13 @@ def run_round_post(state: SimulationState) -> RoundRecord:
     if raw:
         ceiling = outlier_ceiling(list(raw.values()), div.outlier_percentile)
         raw = {did: min(v, ceiling) for did, v in raw.items()}
-    reports = {did: model_report(state.devices[did], raw[did]) for did in raw}
-    indices = {did: rep.diversity_index for did, rep in reports.items()}
+    indices = {did: model_report(state.devices[did], raw[did]).diversity_index for did in raw}
 
     current = [state.devices[d.id] for d in eligible]
     decision = schedule_post_training(
         current, indices, cfg.k_per_round, cfg.constraints, cfg.network, cfg.train.epochs
     )
-    if not decision.round_valid:
-        return _finish_round(state, _abort_record(state, dict(compute_times), dict(energies)))
-
-    times = {}
-    for did in sorted(decision.selected):
-        dev = state.devices[did]
-        rate = channel_rate(dev.channel, decision.bandwidth_share[did])
-        t_comm = cfg.network.model_size_bits / rate
-        times[did] = compute_times[did] + t_comm
-        energies[did] += _drain(state, did, energy_transmit(dev, t_comm))
-        _mark_participation(state, did)
-
-    state.model = _aggregate(cfg, [updates[did] for did in sorted(decision.selected)])
-    accuracy, loss = evaluate(state.model, state.test_set)
-    record = RoundRecord(
-        round=state.round,
-        duration_s=max(times.values()),
-        total_energy_j=sum(energies.values()),
-        participants=tuple(sorted(decision.selected)),
-        global_accuracy=accuracy,
-        global_loss=loss,
-        jain_fairness=_jain(state),
-        aborted=False,
-        device_times=times,
-        device_energy=energies,
-    )
-    return _finish_round(state, record)
+    return _finish_round(state, decision, updates, compute_times, energies)
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:

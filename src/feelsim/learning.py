@@ -138,35 +138,21 @@ def evaluate(model: ModelParams, test: LocalDataset):
 
 
 def aggregate_fedavg(updates: list) -> ModelParams:
-    """Sample-count weighted average, reduced in ascending device id."""
-    if not updates:
-        raise NoUpdatesError("nothing to aggregate")
-    ordered = sorted(updates, key=lambda u: u.device_id)
-    length = ordered[0].params.weights.size
-    for u in ordered:
-        if u.params.weights.size != length:
-            raise ShapeMismatchError(f"update from device {u.device_id} has length {u.params.weights.size}")
-    total = sum(u.n_samples for u in ordered)
-    if total <= 0:
-        raise DegenerateWeightsError("all updates carry zero samples")
-    acc = np.zeros(length)
-    for u in ordered:
-        acc += (u.n_samples / total) * u.params.weights
-    return ModelParams(acc, round=max(u.params.round for u in ordered), source="server")
+    """Sample-count weighted average: loss-weighted aggregation at q = 0."""
+    return aggregate_loss_weighted(updates, 0.0)
 
 
 def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
-    """Aggregation with weights proportional to n_k * loss_k^q.
+    """Aggregation with weights proportional to n_k * loss_k^q, reduced in
+    ascending device id.
 
     q > 0 tilts the average toward devices the current model serves worst;
-    q = 0 reduces exactly to plain sample-count averaging.
+    q = 0 is plain sample-count averaging (FedAvg).
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     if not updates:
         raise NoUpdatesError("nothing to aggregate")
-    if q == 0:
-        return aggregate_fedavg(updates)
     ordered = sorted(updates, key=lambda u: u.device_id)
     length = ordered[0].params.weights.size
     for u in ordered:

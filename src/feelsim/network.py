@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import seeding
 from .domain import ChannelState, DeviceProfile
 from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
@@ -134,14 +132,6 @@ def energy_transmit(device: DeviceProfile, comm_time: float) -> float:
     if comm_time < 0:
         raise ValueError("comm_time must be nonnegative")
     return device.tx_power * comm_time
-
-
-def round_duration(completion_times) -> float:
-    """A synchronous round ends when its slowest participant finishes."""
-    times = list(completion_times)
-    if not times:
-        raise NoParticipantsError("round with no participants has no duration")
-    return max(times)
 
 
 def resample_channel(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -122,8 +122,9 @@ def _decision(chosen: list, constraints: ConstraintConfig, net: NetworkConfig, e
 def _cap_stragglers(chosen: list, constraints: ConstraintConfig, net: NetworkConfig, epochs: int) -> list:
     """Shrink the selection while its equal band share breaks the deadline.
 
-    With eligibility already checked at a more pessimistic share this rarely
-    fires; it guards direct callers that skip the filter.
+    Eligibility already checks every device at the smaller share
+    total_bandwidth / len(offered), so this never fires from the engine; it
+    guards direct callers that skip the filter.
     """
     chosen = list(chosen)
     while chosen:
@@ -140,6 +141,20 @@ def _cap_stragglers(chosen: list, constraints: ConstraintConfig, net: NetworkCon
             break
         del chosen[worst_pos]
     return chosen
+
+
+def _top_k(
+    eligible: list, k: int, rank: Callable[[], list], constraints: ConstraintConfig, net: NetworkConfig, epochs: int
+) -> ScheduleDecision:
+    """The selection path every policy shares.
+
+    ``rank()`` orders the non-empty ``eligible`` list best first; it may stop
+    after k.  The first k are capped for stragglers, then get the band.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    order = rank() if eligible else []
+    return _decision(_cap_stragglers(order[:k], constraints, net, epochs), constraints, net, epochs)
 
 
 def schedule_pre_training(
@@ -159,18 +174,15 @@ def schedule_pre_training(
     equally); battery is already a fraction and enters as-is.  Ties break
     toward the lower device id.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not eligible:
-        return _decision([], constraints, net, epochs)
-    div = _minmax(np.array([float(diversity[d.id]) for d in eligible]))
-    snr = _minmax(np.array([d.channel.snr_db for d in eligible]))
-    batt = np.array([d.battery_level for d in eligible])
-    score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
-    order = sorted(range(len(eligible)), key=lambda i: (-score[i], eligible[i].id))
-    chosen = [eligible[i] for i in order[: min(k, len(eligible))]]
-    chosen = _cap_stragglers(chosen, constraints, net, epochs)
-    return _decision(chosen, constraints, net, epochs)
+
+    def rank() -> list:
+        div = _minmax(np.array([float(diversity[d.id]) for d in eligible]))
+        snr = _minmax(np.array([d.channel.snr_db for d in eligible]))
+        batt = np.array([d.battery_level for d in eligible])
+        score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
+        return [eligible[i] for i in sorted(range(len(eligible)), key=lambda i: (-score[i], eligible[i].id))]
+
+    return _top_k(eligible, k, rank, constraints, net, epochs)
 
 
 def schedule_post_training(
@@ -182,12 +194,11 @@ def schedule_post_training(
     epochs: int,
 ) -> ScheduleDecision:
     """Top-K devices by reported model-diversity index (already clamped)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not eligible:
-        return _decision([], constraints, net, epochs)
-    order = sorted(eligible, key=lambda d: (-float(indices[d.id]), d.id))
-    return _decision(order[: min(k, len(eligible))], constraints, net, epochs)
+
+    def rank() -> list:
+        return sorted(eligible, key=lambda d: (-float(indices[d.id]), d.id))
+
+    return _top_k(eligible, k, rank, constraints, net, epochs)
 
 
 def schedule_random(
@@ -199,14 +210,12 @@ def schedule_random(
     epochs: int,
 ) -> ScheduleDecision:
     """Uniform without-replacement baseline."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not eligible:
-        return _decision([], constraints, net, epochs)
-    rng = np.random.default_rng(seed)
-    take = min(k, len(eligible))
-    picks = rng.choice(len(eligible), size=take, replace=False)
-    return _decision([eligible[i] for i in picks], constraints, net, epochs)
+
+    def rank() -> list:
+        picks = np.random.default_rng(seed).choice(len(eligible), size=min(k, len(eligible)), replace=False)
+        return [eligible[i] for i in picks]
+
+    return _top_k(eligible, k, rank, constraints, net, epochs)
 
 
 def schedule_data_size_priority(
@@ -224,29 +233,28 @@ def schedule_data_size_priority(
     wording sometimes used for this policy; the default favors large
     datasets, which is the variant that actually prioritizes data volume.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not eligible:
-        return _decision([], constraints, net, epochs)
-    sizes = np.array([d.dataset.n_samples for d in eligible], dtype=float)
-    weights = np.where(sizes > 0, 1.0 / np.maximum(sizes, 1e-300), 0.0) if inverse else sizes
-    if not weights.sum() > 0:
-        raise DegenerateWeightsError("every eligible device has zero-size data")
-    take = min(k, len(eligible))
-    if take == len(eligible):
-        return _decision(list(eligible), constraints, net, epochs)
-    rng = np.random.default_rng(seed)
-    remaining = list(range(len(eligible)))
-    chosen = []
-    for _ in range(take):
-        w = weights[remaining]
-        total = w.sum()
-        if total > 0:
-            pick = rng.choice(len(remaining), p=w / total)
-        else:
-            pick = rng.integers(0, len(remaining))
-        chosen.append(eligible[remaining.pop(int(pick))])
-    return _decision(chosen, constraints, net, epochs)
+
+    def rank() -> list:
+        sizes = np.array([d.dataset.n_samples for d in eligible], dtype=float)
+        weights = np.where(sizes > 0, 1.0 / np.maximum(sizes, 1e-300), 0.0) if inverse else sizes
+        if not weights.sum() > 0:
+            raise DegenerateWeightsError("every eligible device has zero-size data")
+        if k >= len(eligible):
+            return list(eligible)
+        rng = np.random.default_rng(seed)
+        remaining = list(range(len(eligible)))
+        chosen = []
+        for _ in range(k):
+            w = weights[remaining]
+            total = w.sum()
+            if total > 0:
+                pick = rng.choice(len(remaining), p=w / total)
+            else:
+                pick = rng.integers(0, len(remaining))
+            chosen.append(eligible[remaining.pop(int(pick))])
+        return chosen
+
+    return _top_k(eligible, k, rank, constraints, net, epochs)
 
 
 def schedule_age_fair(
@@ -262,18 +270,16 @@ def schedule_age_fair(
     A device that never participated has infinite age and wins outright;
     ties break toward fewer total participations, then the lower id.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not eligible:
-        return _decision([], constraints, net, epochs)
 
     def age(dev: DeviceProfile) -> float:
         if dev.last_participation_round is None:
             return math.inf
         return float(current_round - dev.last_participation_round)
 
-    order = sorted(eligible, key=lambda d: (-age(d), d.participation_count, d.id))
-    return _decision(order[: min(k, len(eligible))], constraints, net, epochs)
+    def rank() -> list:
+        return sorted(eligible, key=lambda d: (-age(d), d.participation_count, d.id))
+
+    return _top_k(eligible, k, rank, constraints, net, epochs)
 
 
 def jain_fairness(counts) -> float:

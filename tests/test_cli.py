@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from feelsim.cli import main, run_experiment
 from feelsim.config_io import load_config, spec_with_overrides
+from feelsim.engine import SimulationConfig
 from feelsim.errors import ConfigError
 
 MINIMAL = """\
@@ -43,7 +45,6 @@ name = tiny
 rounds_max = 3
 seeds = 0, 1
 schedulers = diversity_pre, random
-master_seed = 5
 """
 
 
@@ -65,8 +66,13 @@ def test_minimal_config_gets_all_defaults(tmp_path):
     assert spec.base.k_per_round == 10
     assert spec.base.network.total_bandwidth == 1e6
     assert spec.base.constraints.completion_threshold == math.inf
-    # min_data_size default tracks the training batch size
+    # every default comes from the dataclasses, except that min_data_size
+    # tracks the training batch size
     assert spec.base.constraints.min_data_size == spec.base.train.batch_size
+    defaults = SimulationConfig()
+    assert spec.base == replace(
+        defaults, constraints=replace(defaults.constraints, min_data_size=defaults.train.batch_size)
+    )
 
 
 def test_full_config_round_trip(tmp_path):
@@ -82,7 +88,6 @@ def test_full_config_round_trip(tmp_path):
     assert spec.base.network.model_size_bits == 1e5
     assert spec.base.k_per_round == 3
     assert spec.base.rounds_max == 3
-    assert spec.base.master_seed == 5
     assert spec.base.constraints.min_data_size == 8
 
 
@@ -99,6 +104,11 @@ def test_unknown_section_names_the_line(tmp_path):
 def test_unknown_key_names_the_line(tmp_path):
     with pytest.raises(ConfigError, match=r":2: unknown key 'colour'"):
         load_config(_write(tmp_path, "[experiment]\ncolour = blue\nname = x\n"))
+    # the engine and the sweep set these seeds themselves, so they are not keys
+    for section, key in (("train", "seed"), ("experiment", "master_seed")):
+        text = f"[{section}]\n{key} = 5\n[experiment]\nname = x\n"
+        with pytest.raises(ConfigError, match=rf":2: unknown key '{key}' in \[{section}\]"):
+            load_config(_write(tmp_path, text))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -127,6 +137,10 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 def test_semantic_errors_wrapped_as_config_errors(tmp_path):
     text = "[scheduler]\nw_diversity = 0.9\n\n[experiment]\nname = x\n"
     with pytest.raises(ConfigError, match="weights_not_simplex"):
+        load_config(_write(tmp_path, text))
+    # -1 is a negative size, not a request for the batch-size default
+    text = "[constraints]\nmin_data_size = -1\n\n[experiment]\nname = x\n"
+    with pytest.raises(ConfigError, match="negative_data_size"):
         load_config(_write(tmp_path, text))
 
 

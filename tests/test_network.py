@@ -20,7 +20,6 @@ from feelsim.network import (
     energy_transmit,
     expected_completion_time,
     resample_channel,
-    round_duration,
 )
 
 
@@ -201,12 +200,6 @@ def test_energy_anchors():
     assert energy_transmit(dev, 4.0) == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(ValueError):
         energy_transmit(dev, -1.0)
-
-
-def test_round_duration_is_slowest_participant():
-    assert round_duration([0.5, 2.0, 1.25]) == 2.0
-    with pytest.raises(NoParticipantsError):
-        round_duration([])
 
 
 # ------------------------------------------------------------------- channel
