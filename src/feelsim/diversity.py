@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -324,9 +325,32 @@ def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
     if group_count == 1:
         return 0.0
     groups = params.weights.reshape(group_count, group_size)
-    i, j = np.triu_indices(group_count, k=1)
+    i, j = _pair_indices(group_count)
     diffs = groups[i] - groups[j]
-    return float(np.linalg.norm(diffs, axis=1).sum() / diffs.shape[0])
+    # the row norms np.linalg.norm(diffs, axis=1) computes, without its wrapper
+    return float(np.sqrt(np.add.reduce(diffs * diffs, axis=1)).sum() / diffs.shape[0])
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(group_count: int) -> tuple:
+    """Row indices (i, j) of every unordered pair i < j, read-only."""
+    pairs = np.triu_indices(group_count, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float:
+    """1 - cos(u, v) for two flat vectors, bit-equal to the cosine metric.
+
+    Returns a Python float, as the metric does: when both operands of a sum
+    are NaN, Python and numpy scalars keep different ones.
+    """
+    nu = np.sqrt(np.add.reduce(u * u))
+    nv = np.sqrt(np.add.reduce(v * v))
+    if nu == 0 or nv == 0:
+        raise UndefinedAngleError("cosine dissimilarity of a zero vector")
+    return float(1.0 - min(max(np.add.reduce(u * v) / (nu * nv), -1.0), 1.0))
 
 
 def model_diversity_index(
@@ -351,7 +375,9 @@ def model_diversity_index(
         raise ValidationError("weights_not_simplex", f"{weights}")
     if redundancy_cap <= 0:
         raise ValidationError("nonpositive_cap")
-    dissim = model_global_dissimilarity(local, global_model, DissimilarityMetric("cosine"))
+    if local.weights.shape != global_model.weights.shape:
+        raise ShapeMismatchError(f"{local.weights.shape} vs {global_model.weights.shape}")
+    dissim = _cosine_dissimilarity(local.weights, global_model.weights)
     red = parameter_redundancy(local, grouping)
     index = w_div * dissim + w_red * min(red / redundancy_cap, 1.0)
     if ceiling is not None:

@@ -73,28 +73,55 @@ def _unpack(weights: np.ndarray, dim: int):
     return blocks[:, :dim], blocks[:, dim]
 
 
+def _softmax(features: np.ndarray, w_mat: np.ndarray, bias: np.ndarray):
+    """Logits shifted so each row's max is 0, their exponentials, row sums."""
+    logits = features @ w_mat.T + bias
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return logits, exp, np.add.reduce(exp, axis=1)
+
+
+def _cross_entropy(logits: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy from shifted logits and their row sums."""
+    return float((np.log(z) - logits[np.arange(logits.shape[0]), labels]).mean())
+
+
+def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:
+    # kept even at l2_reg = 0: 0 * inf is NaN, which marks a diverged model
+    return ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
+
+
+def _gradient_into(grad, w_mat, exp, z, onehot, features, l2_reg: float) -> None:
+    """Write the flat gradient, as a (k, dim+1) block, into ``grad``.
+
+    Consumes ``exp`` as scratch.  Subtracting the one-hot rows equals
+    subtracting 1 at each label: x - 0.0 == x for every float.
+    """
+    dim = features.shape[1]
+    probs = exp
+    probs /= z[:, None]
+    probs -= onehot
+    probs /= features.shape[0]
+    grad_w = grad[:, :dim]
+    np.matmul(probs.T, features, out=grad_w)
+    grad_w += l2_reg * w_mat
+    np.add.reduce(probs, axis=0, out=grad[:, dim])
+
+
 def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_reg: float):
     """Mean softmax cross-entropy plus 0.5 * l2 * ||W||^2, and its gradient.
 
     The penalty covers class weights only, never biases.  Returns
     (loss, flat gradient).
     """
-    n, dim = features.shape
+    dim = features.shape[1]
     w_mat, bias = _unpack(weights, dim)
-    logits = features @ w_mat.T + bias
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    z = exp.sum(axis=1)
-    ce = float((np.log(z) - logits[np.arange(n), labels]).mean())
-    loss = ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
-
-    probs = exp / z[:, None]
-    probs[np.arange(n), labels] -= 1.0
-    probs /= n
-    grad_w = probs.T @ features + l2_reg * w_mat
-    grad_b = probs.sum(axis=0)
-    grad = np.hstack([grad_w, grad_b[:, None]]).ravel()
-    return loss, grad
+    logits, exp, z = _softmax(features, w_mat, bias)
+    loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
+    k = w_mat.shape[0]
+    grad = np.empty((k, dim + 1))
+    _gradient_into(grad, w_mat, exp, z, np.eye(k)[labels], features, l2_reg)
+    return loss, grad.ravel()
 
 
 def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device_id: int = 0) -> Update:
@@ -103,22 +130,35 @@ def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device
     The per-epoch shuffle comes from ``cfg.seed`` alone, so an identical
     (model, data, config) triple always produces the identical update.
     ``final_loss`` is the mean cross-entropy over the local data after the
-    last step (no penalty term), which is what loss-weighted aggregation
-    consumes.
+    last step (the penalty term at l2 = 0), which is what loss-weighted
+    aggregation consumes.
+
+    Each step updates one weight vector in place from one gradient buffer
+    and computes no loss; every bit equals ``w = w - lr * loss_and_grad(w,
+    batch)[1]`` step by step.
     """
     if data.task_kind != "classification" or data.n_samples == 0:
         raise EmptyDatasetError("local training needs a non-empty classification set")
     features, labels = data.features, data.labels
-    n = data.n_samples
+    n, dim = features.shape
     w = model.weights.copy()
+    w_mat, bias = _unpack(w, dim)
+    grad = np.empty((w_mat.shape[0], dim + 1))
+    flat_grad = grad.reshape(-1)
+    eye = np.eye(w_mat.shape[0])
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        shuffled, onehot = features[order], eye[labels[order]]
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            _, grad = loss_and_grad(w, features[batch], labels[batch], cfg.l2_reg)
-            w = w - cfg.learning_rate * grad
-    final_loss, _ = loss_and_grad(w, features, labels, 0.0)
+            stop = start + cfg.batch_size
+            batch = shuffled[start:stop]
+            _, exp, z = _softmax(batch, w_mat, bias)
+            _gradient_into(grad, w_mat, exp, z, onehot[start:stop], batch, cfg.l2_reg)
+            flat_grad *= cfg.learning_rate
+            w -= flat_grad
+    logits, _, z = _softmax(features, w_mat, bias)
+    final_loss = _penalized(_cross_entropy(logits, z, labels), 0.0, w_mat)
     params = ModelParams(w, round=model.round + 1, source=device_id)
     return Update(params=params, n_samples=n, final_loss=final_loss, device_id=device_id)
 
@@ -127,12 +167,9 @@ def evaluate(model: ModelParams, test: LocalDataset):
     """(accuracy, mean cross-entropy) on a held-out classification set."""
     if test.task_kind != "classification" or test.n_samples == 0:
         raise EmptyDatasetError("evaluation needs a non-empty classification set")
-    n, dim = test.features.shape
-    w_mat, bias = _unpack(model.weights, dim)
-    logits = test.features @ w_mat.T + bias
-    logits = logits - logits.max(axis=1, keepdims=True)
-    z = np.exp(logits).sum(axis=1)
-    loss = float((np.log(z) - logits[np.arange(n), test.labels]).mean())
+    w_mat, bias = _unpack(model.weights, test.features.shape[1])
+    logits, _, z = _softmax(test.features, w_mat, bias)
+    loss = _cross_entropy(logits, z, test.labels)
     accuracy = float((logits.argmax(axis=1) == test.labels).mean())
     return accuracy, loss
 

@@ -43,12 +43,25 @@ def channel_rate(channel: ChannelState, bandwidth: float) -> float:
         raise ValueError("bandwidth must be nonnegative")
     if bandwidth == 0:
         return 0.0
-    snr_linear = 10.0 ** (channel.snr_db / 10.0)
-    return bandwidth * math.log1p(snr_linear) / math.log(2.0)
+    # not bandwidth * _spectral_efficiency(channel): that rounds differently
+    return bandwidth * _log1p_snr(channel.snr_db) / math.log(2.0)
+
+
+def _log1p_snr(snr_db: float) -> float:
+    """ln(1 + linear SNR), finite for any finite SNR in dB.
+
+    The linear SNR 10^(snr_db/10) overflows a float above about 3080 dB;
+    only there is ln(1 + s) taken as ln s + ln(1 + 1/s).
+    """
+    tenth = snr_db / 10.0
+    try:
+        return math.log1p(10.0**tenth)
+    except OverflowError:
+        return tenth * math.log(10.0) + math.log1p(10.0**-tenth)
 
 
 def _spectral_efficiency(channel: ChannelState) -> float:
-    return math.log1p(10.0 ** (channel.snr_db / 10.0)) / math.log(2.0)
+    return _log1p_snr(channel.snr_db) / math.log(2.0)
 
 
 def compute_time(device: DeviceProfile, n_samples: int, epochs: int) -> float:

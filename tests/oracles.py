@@ -2,12 +2,16 @@
 
 Everything here is written as directly as possible from the defining
 formulas: explicit Python loops, ``math`` scalar ops, no shared code with the
-package under test.  Slow on purpose.
+package under test.  Slow on purpose.  The one exception is
+``reference_local_train``: the straightforward numpy SGD loop that the fast
+path in ``feelsim.learning`` must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def shannon_entropy(counts) -> float:
@@ -148,3 +152,39 @@ def jain(xs) -> float:
     if s == 0:
         return 1.0
     return s * s / (len(xs) * sum(x * x for x in xs))
+
+
+def reference_loss_and_grad(weights, features, labels, l2_reg: float):
+    """Mean softmax cross-entropy plus 0.5 * l2 * ||W||^2, and its flat gradient."""
+    n, dim = features.shape
+    blocks = weights.reshape(-1, dim + 1)
+    w_mat, bias = blocks[:, :dim], blocks[:, dim]
+    logits = features @ w_mat.T + bias
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    z = exp.sum(axis=1)
+    ce = float((np.log(z) - logits[np.arange(n), labels]).mean())
+    loss = ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
+
+    probs = exp / z[:, None]
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    grad_w = probs.T @ features + l2_reg * w_mat
+    grad_b = probs.sum(axis=0)
+    grad = np.hstack([grad_w, grad_b[:, None]]).ravel()
+    return loss, grad
+
+
+def reference_local_train(weights, features, labels, epochs: int, batch_size: int, learning_rate: float, l2_reg: float, seed: int):
+    """Plain mini-batch SGD: (final weights, final unpenalized loss)."""
+    n = len(labels)
+    w = weights.copy()
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            _, grad = reference_loss_and_grad(w, features[batch], labels[batch], l2_reg)
+            w = w - learning_rate * grad
+    final_loss, _ = reference_loss_and_grad(w, features, labels, 0.0)
+    return w, final_loss

@@ -372,6 +372,38 @@ def test_model_diversity_index_blend_and_clamp():
     assert model_diversity_index(local, ref, (3, 4), (0.7, 0.3), redundancy_cap=cap, ceiling=want / 2) == want / 2
 
 
+def test_model_diversity_index_is_bitwise_the_blend():
+    rng = np.random.default_rng(17)
+    cosine = DissimilarityMetric("cosine")
+    groupings = [(1, 5), (2, 3), (6, 17), (10, 9)]
+    for step in range(24):  # cycling the group counts revisits each cached pair index
+        grouping = groupings[step % len(groupings)]
+        size = grouping[0] * grouping[1]
+        scale = 10.0 ** rng.uniform(-3.0, 150.0)
+        ref = _params(rng.normal(size=size) * scale)
+        local = _params(ref.weights + rng.normal(size=size) * scale * 10.0 ** rng.uniform(-9.0, 0.0))
+        for weights, cap in (((0.7, 0.3), 1.0), ((0.25, 0.75), 0.05)):
+            got = model_diversity_index(local, ref, grouping, weights, redundancy_cap=cap)
+            want = weights[0] * model_global_dissimilarity(local, ref, cosine) + weights[1] * min(
+                parameter_redundancy(local, grouping) / cap, 1.0
+            )
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_model_diversity_index_keeps_its_checks():
+    p = _params(np.ones(6))
+    with pytest.raises(UndefinedAngleError):
+        model_diversity_index(_params(np.zeros(6)), p, (2, 3))
+    with pytest.raises(UndefinedAngleError):
+        model_diversity_index(p, _params(np.zeros(6)), (2, 3))
+    with pytest.raises(ShapeMismatchError):
+        model_diversity_index(p, _params(np.ones(4)), (2, 3))
+    with pytest.raises(ShapeMismatchError):
+        model_diversity_index(p, p, (4, 2))
+    with pytest.raises(ValidationError):
+        model_diversity_index(p, p, (2, 3), redundancy_cap=0.0)
+
+
 def test_model_diversity_weights_must_be_simplex():
     p = _params(np.ones(4))
     with pytest.raises(ValidationError):

@@ -147,6 +147,76 @@ def test_training_empty_dataset_errors():
         local_train(model, empty, TrainConfig())
 
 
+# ------------------------------------------------------- bitwise reference
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _sgd_problem(n, n_classes, dim, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, dim)) * scale
+    labels = rng.integers(0, n_classes, size=n)
+    weights = rng.standard_normal(n_classes * (dim + 1))
+    return weights, features, labels
+
+
+def _assert_train_matches_reference(weights, features, labels, cfg) -> float:
+    """local_train equals the plain SGD loop bit for bit; returns its loss."""
+    got = local_train(ModelParams(weights), _dataset(features, labels), cfg)
+    want_w, want_loss = oracles.reference_local_train(
+        weights, features, labels, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.l2_reg, cfg.seed
+    )
+    assert np.array_equal(_bits(got.params.weights), _bits(want_w))
+    assert _bits(got.final_loss) == _bits(want_loss)
+    return want_loss
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("batch", [1, 7, 16, 35])  # 7 and 16 leave a ragged last batch of 30 rows; 35 > n
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_local_train_is_bitwise_the_reference_loop(l2, batch, epochs):
+    weights, features, labels = _sgd_problem(30, 4, 5, seed=batch + 10 * epochs)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.1, l2_reg=l2, seed=3)
+    _assert_train_matches_reference(weights, features, labels, cfg)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_local_train_single_sample_is_bitwise_the_reference_loop(l2):
+    weights, features, labels = _sgd_problem(1, 3, 4, seed=5)
+    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.5, l2_reg=l2, seed=1)
+    _assert_train_matches_reference(weights, features, labels, cfg)
+
+
+@pytest.mark.parametrize(
+    "shape, scale, cfg",
+    [
+        # ||W||^2 overflows, and the zero-weight penalty term turns that into a NaN loss
+        ((30, 4, 5), 50.0, TrainConfig(epochs=3, batch_size=1, learning_rate=1e3, l2_reg=0.05, seed=2)),
+        # steps overflow at l2 = 0; the NaN bits depend on the zero-weight penalty gradient
+        ((5, 3, 5), 1e100, TrainConfig(epochs=3, batch_size=7, learning_rate=1e300, l2_reg=0.0, seed=0)),
+    ],
+)
+def test_local_train_diverging_device_is_bitwise_the_reference_loop(shape, scale, cfg):
+    weights, features, labels = _sgd_problem(*shape, seed=0, scale=scale)
+    with np.errstate(all="ignore"):
+        final_loss = _assert_train_matches_reference(weights, features, labels, cfg)
+    assert math.isnan(final_loss)
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_loss_and_grad_is_bitwise_the_reference_kernel(n, l2):
+    for scale in (1.0, 1e3):
+        weights, features, labels = _sgd_problem(n, 3, 4, seed=n, scale=scale)
+        with np.errstate(all="ignore"):
+            loss, grad = loss_and_grad(weights * scale, features, labels, l2)
+            want_loss, want_grad = oracles.reference_loss_and_grad(weights * scale, features, labels, l2)
+        assert _bits(loss) == _bits(want_loss)
+        assert np.array_equal(_bits(grad), _bits(want_grad))
+
+
 # ------------------------------------------------------------------ evaluate
 
 

@@ -51,6 +51,29 @@ def test_channel_rate_monotone_in_snr_and_band(snr, bw):
     )
 
 
+def test_channel_rate_beyond_float_range_of_linear_snr():
+    # 10 ** 310 overflows a float; the rate must stay finite and monotone
+    rate_3000 = channel_rate(make_device(snr_db=3000.0).channel, 1e6)
+    rate_3100 = channel_rate(make_device(snr_db=3100.0).channel, 1e6)
+    assert math.isfinite(rate_3100)
+    assert rate_3100 > rate_3000
+    assert rate_3100 == pytest.approx(1e6 * 310.0 * math.log2(10.0), rel=1e-12)
+
+
+def test_channel_rate_below_overflow_keeps_the_plain_expression_bitwise():
+    for snr, bw in ((30.0, 1e6), (-7.5, 3.3e5), (3000.0, 2e6)):
+        want = bw * math.log1p(10.0 ** (snr / 10.0)) / math.log(2.0)
+        assert channel_rate(make_device(snr_db=snr).channel, bw) == want
+
+
+def test_equalize_with_a_device_beyond_float_range_of_linear_snr():
+    devs = [make_device(device_id=0, snr_db=3100.0), make_device(device_id=1, snr_db=5.0)]
+    shares = allocate_bandwidth(devs, _equalize_cfg(), epochs=1)
+    assert all(s > 0 for s in shares.values())
+    assert shares[1] > shares[0]
+    assert sum(shares.values()) == pytest.approx(1e6, rel=1e-12)
+
+
 def test_compute_time_anchor():
     dev = make_device(cpu_freq=1e9, cycles=1e6)
     # 100 samples * 1e6 cycles / 1e9 Hz = 0.1 s per epoch
