@@ -145,9 +145,19 @@ def run_measures(path: str, task: str, embedding_m: int, tolerance_scale: float)
     except (OSError, ValueError) as exc:
         print(f"error: could not read {path}: {exc}", file=sys.stderr)
         return 1
-    if data.shape[0] < 2:
-        print("error: need at least two rows", file=sys.stderr)
+    try:
+        lines = list(_measure_lines(data, task, embedding_m, tolerance_scale))
+    except (FeelsimError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return 0
+
+
+def _measure_lines(data: np.ndarray, task: str, embedding_m: int, tolerance_scale: float):
+    """Yield the output lines; any undefined measure raises before one is printed."""
+    if data.shape[0] < 2:
+        raise ValueError("need at least two rows")
     cfg = DiversityConfig(embedding_m=embedding_m, tolerance_scale=tolerance_scale)
     if task == "classification":
         labels = data[:, -1].astype(np.int64)
@@ -156,25 +166,23 @@ def run_measures(path: str, task: str, embedding_m: int, tolerance_scale: float)
         k = int(labels.max()) + 1
         counts = dataset.class_counts(k)
         profile = dataset_diversity_index(dataset, cfg, n_classes=k)
-        print(f"n_samples = {dataset.n_samples}")
-        print(f"n_classes = {k}")
-        print(f"shannon_entropy = {_fmt(shannon_entropy(counts))}")
-        print(f"gini_simpson = {_fmt(gini_simpson(counts))}")
-        print(f"diversity_index = {_fmt(profile.diversity_index)}")
+        yield f"n_samples = {dataset.n_samples}"
+        yield f"n_classes = {k}"
+        yield f"shannon_entropy = {_fmt(shannon_entropy(counts))}"
+        yield f"gini_simpson = {_fmt(gini_simpson(counts))}"
+        yield f"diversity_index = {_fmt(profile.diversity_index)}"
     else:
         series = data[:, 0]
         r = tolerance_scale * float(series.std())
         r = r if r > 0 else 1e-12
-        print(f"n_samples = {series.size}")
-        print(f"approximate_entropy = {_fmt(approximate_entropy(series, embedding_m, r))}")
+        yield f"n_samples = {series.size}"
+        yield f"approximate_entropy = {_fmt(approximate_entropy(series, embedding_m, r))}"
         try:
-            print(f"sample_entropy = {_fmt(sample_entropy(series, embedding_m, r))}")
+            yield f"sample_entropy = {_fmt(sample_entropy(series, embedding_m, r))}"
         except NoTemplateMatchesError:
-            print("sample_entropy = inf  # no template matches: maximally irregular")
-        dataset = LocalDataset("timeseries", series[:, None])
-        profile = dataset_diversity_index(dataset, cfg)
-        print(f"diversity_index = {_fmt(profile.diversity_index)}")
-    return 0
+            yield "sample_entropy = inf  # no template matches: maximally irregular"
+        profile = dataset_diversity_index(LocalDataset("timeseries", series[:, None]), cfg)
+        yield f"diversity_index = {_fmt(profile.diversity_index)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:

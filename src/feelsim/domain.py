@@ -1,9 +1,9 @@
 """Core value types shared by every other module.
 
-All types are frozen dataclasses; arrays they carry are copied on construction
-and marked read-only, so instances can be shared across rounds without any
-defensive copying.  State evolution (battery drain, participation counters)
-happens through ``dataclasses.replace``.
+Every type but DeviceProfile is frozen; arrays are copied on construction and
+marked read-only, so instances are shared across rounds without copying.  The
+engine updates a DeviceProfile's ``battery_level``, ``channel``,
+``participation_count`` and ``last_participation_round`` in place.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ChannelState:
             raise ValidationError("negative_snr_std")
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeviceProfile:
     """Static capabilities and evolving state of one edge device."""
 

@@ -194,12 +194,9 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
 def _eligible(state: SimulationState) -> list:
     """Fade every channel for this round, then apply the hard constraints."""
     cfg = state.cfg
-    state.devices = {
-        did: replace(dev, channel=resample_channel(dev.channel, cfg.master_seed, did, state.round))
-        for did, dev in state.devices.items()
-    }
-    ordered = [state.devices[did] for did in sorted(state.devices)]
-    return filter_eligible(ordered, cfg.constraints, cfg.network, cfg.train.epochs)
+    for did, dev in state.devices.items():
+        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, state.round)
+    return filter_eligible(state.devices.values(), cfg.constraints, cfg.network, cfg.train.epochs)
 
 
 def _train(state: SimulationState, devices: list) -> dict:
@@ -212,13 +209,10 @@ def _train(state: SimulationState, devices: list) -> dict:
     return updates
 
 
-def _drain(state: SimulationState, device_id: int, joules: float) -> float:
+def _drain(dev: DeviceProfile, joules: float) -> float:
     """Charge a device's battery with ``joules``; returns what it could pay."""
-    dev = state.devices[device_id]
-    available = dev.battery_level * dev.capacity_joules
-    charged = min(joules, available)
-    new_level = max(0.0, dev.battery_level - charged / dev.capacity_joules)
-    state.devices[device_id] = replace(dev, battery_level=new_level)
+    charged = min(joules, dev.battery_level * dev.capacity_joules)
+    dev.battery_level = max(0.0, dev.battery_level - charged / dev.capacity_joules)
     return charged
 
 
@@ -258,11 +252,9 @@ def _finish_round(
         joules = energy_transmit(dev, t_comm)
         if did not in sunk_energy:
             joules = energy_compute(dev, dev.dataset.n_samples, epochs) + joules
-        energies[did] = energies.get(did, 0.0) + _drain(state, did, joules)
-        dev = state.devices[did]
-        state.devices[did] = replace(
-            dev, participation_count=dev.participation_count + 1, last_participation_round=state.round
-        )
+        energies[did] = energies.get(did, 0.0) + _drain(dev, joules)
+        dev.participation_count += 1
+        dev.last_participation_round = state.round
 
     if participants:
         chosen = [updates[did] for did in participants]
@@ -311,7 +303,7 @@ def run_round_post(state: SimulationState) -> RoundRecord:
     compute_times, energies = {}, {}
     for dev in eligible:
         compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, cfg.train.epochs)
-        energies[dev.id] = _drain(state, dev.id, energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs))
+        energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs))
 
     grouping = (data.n_classes, data.dim + 1)
     div = data.diversity
@@ -330,9 +322,8 @@ def run_round_post(state: SimulationState) -> RoundRecord:
         raw = {did: min(v, ceiling) for did, v in raw.items()}
     indices = {did: model_report(state.devices[did], raw[did]).diversity_index for did in raw}
 
-    current = [state.devices[d.id] for d in eligible]
     decision = schedule_post_training(
-        current, indices, cfg.k_per_round, cfg.constraints, cfg.network, cfg.train.epochs
+        eligible, indices, cfg.k_per_round, cfg.constraints, cfg.network, cfg.train.epochs
     )
     return _finish_round(state, decision, updates, compute_times, energies)
 

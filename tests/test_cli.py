@@ -253,3 +253,21 @@ def test_measures_timeseries(tmp_path, capsys):
 def test_measures_bad_file(tmp_path, capsys):
     assert main(["measures", str(tmp_path / "missing.csv"), "--task", "classification"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, args, message",
+    [
+        ([[1.0], [2.0], [3.0]], ["--task", "timeseries"], "series_too_short"),
+        ([[0.1, 1], [0.2, -1], [0.3, 0]], ["--task", "classification"], "negative_label"),
+        ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--embedding-m", "0"], "embedding dimension"),
+    ],
+    ids=["short_series", "negative_label", "zero_embedding"],
+)
+def test_measures_undefined_input_is_an_error_not_a_traceback(tmp_path, capsys, rows, args, message):
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.array(rows), delimiter=",")
+    assert main(["measures", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""

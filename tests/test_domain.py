@@ -9,9 +9,12 @@ import pytest
 
 from feelsim.domain import (
     ChannelState,
+    DatasetProfile,
     DeviceReport,
     LocalDataset,
     ModelParams,
+    RoundRecord,
+    ScheduleDecision,
     validate_profile,
 )
 from feelsim.errors import ValidationError
@@ -50,12 +53,21 @@ def test_validate_profile_participation_bound():
     assert err.value.code == "participation_ahead_of_round"
 
 
-def test_profiles_are_immutable():
+def test_value_types_are_immutable():
+    # DeviceProfile is the one mutable type: the engine evolves it in place
     dev = make_device()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        dev.battery_level = 0.0
     with pytest.raises(ValueError):
         dev.dataset.features[0, 0] = 99.0  # arrays are read-only
+    values = [
+        (dev.channel, "snr_db"),
+        (DatasetProfile(richness=2, uncertainty=0.5, diversity_index=0.3), "diversity_index"),
+        (DeviceReport(device_id=0, diversity_index=0.3, battery_level=0.5), "battery_level"),
+        (ScheduleDecision((0,), {0: 1.0}, {0: 2.0}, round_valid=True), "selected"),
+        (RoundRecord(0, 1.0, 2.0, (0,), 0.5, 1.0, 1.0), "total_energy_j"),
+    ]
+    for value, name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
 
 
 def test_local_dataset_counts_rows():

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feelsim.datagen import FleetSpec, PartitionSpec
 from feelsim.engine import (
@@ -23,7 +25,7 @@ from feelsim.engine import (
 )
 from feelsim.errors import ValidationError
 from feelsim.learning import TrainConfig
-from feelsim.network import NetworkConfig
+from feelsim.network import ALLOCATION_STRATEGIES, NetworkConfig
 from feelsim.scheduler import ConstraintConfig, jain_fairness
 
 
@@ -75,6 +77,23 @@ def test_build_state_deterministic():
         assert np.array_equal(a.devices[did].dataset.features, b.devices[did].dataset.features)
         assert a.devices[did].channel.snr_db == b.devices[did].channel.snr_db
         assert a.dataset_profiles[did].diversity_index == b.dataset_profiles[did].diversity_index
+
+
+def test_states_share_no_device_profile():
+    # profiles evolve in place, so each state must own its fleet
+    a = build_state(small_config())
+    b = build_state(small_config())
+    assert not {id(d) for d in a.devices.values()} & {id(d) for d in b.devices.values()}
+
+    def live(state):
+        devices = state.devices.values()
+        return [(d.battery_level, d.channel, d.participation_count, d.last_participation_round) for d in devices]
+
+    untouched = live(b)
+    for _ in range(3):
+        run_round_pre(a)
+    assert live(a) != untouched
+    assert live(b) == untouched
 
 
 def test_reports_expose_one_scalar_plus_battery():
@@ -326,3 +345,70 @@ def test_partition_spec_device_count_follows_fleet():
     )
     state = build_state(cfg)
     assert len(state.devices) == 5
+
+
+# --------------------------------------------------------------- invariants
+
+
+@st.composite
+def invariant_configs(draw) -> SimulationConfig:
+    n = draw(st.integers(2, 9))
+    aggregation = draw(st.sampled_from(AGGREGATIONS))
+    return small_config(
+        fleet=FleetSpec(n_devices=n, capacity_joules=draw(st.sampled_from([0.02, 0.05, 0.2, 1.0, 200.0]))),
+        data=DataConfig(
+            n_classes=3, dim=3, samples_per_class=20, partition=PartitionSpec(n_devices=n, skew="dirichlet", alpha=0.5)
+        ),
+        network=NetworkConfig(
+            total_bandwidth=1e6, model_size_bits=1e5, allocation_strategy=draw(st.sampled_from(ALLOCATION_STRATEGIES))
+        ),
+        constraints=ConstraintConfig(
+            min_battery=draw(st.sampled_from([0.0, 0.05, 0.5])),
+            min_snr_db=-30.0,
+            min_participants=draw(st.integers(1, 3)),
+        ),
+        policy=draw(st.sampled_from(POLICIES)),
+        k_per_round=draw(st.integers(1, 4)),
+        aggregation=aggregation,
+        qffl_q=1.0 if aggregation == "loss_weighted" else 0.0,
+        master_seed=draw(st.integers(0, 10_000)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(invariant_configs())
+def test_round_invariants(cfg):
+    state = build_state(cfg)
+    step = run_round_post if cfg.mode == "post_training" else run_round_pre
+    counts = {did: 0 for did in state.devices}
+    last = {did: None for did in state.devices}
+    for _ in range(6):
+        before = {did: d.battery_level for did, d in state.devices.items()}
+        record = step(state)
+
+        assert record.total_energy_j == sum(record.device_energy.values())
+        for did, dev in state.devices.items():
+            assert 0.0 <= dev.battery_level <= 1.0
+            if did in record.device_energy:
+                drop = (before[did] - dev.battery_level) * dev.capacity_joules
+                assert record.device_energy[did] == pytest.approx(drop, abs=1e-9)
+            else:
+                assert dev.battery_level == before[did]
+
+        participants = record.participants
+        assert list(participants) == sorted(set(participants))
+        assert len(participants) <= cfg.k_per_round
+        for did in participants:
+            assert before[did] > 0 and before[did] >= cfg.constraints.min_battery
+            counts[did] += 1
+            last[did] = record.round
+        assert {did: d.participation_count for did, d in state.devices.items()} == counts
+        assert {did: d.last_participation_round for did, d in state.devices.items()} == last
+
+        assert record.aborted == (participants == ())
+        if not record.aborted:
+            assert record.duration_s == max(record.device_times.values())
+            assert len(participants) >= cfg.constraints.min_participants
+        elif cfg.mode == "pre_training":
+            assert record.total_energy_j == 0.0 and record.duration_s == 0.0
+    assert state.aborted == sum(r.aborted for r in state.records)
