@@ -9,9 +9,9 @@ by that field's type annotation.  A key missing from the file keeps the
 dataclass default; defaults live only there:
 
     [devices]      FleetSpec
-    [data]         DataConfig, PartitionSpec, DiversityConfig (measure,
-                   embedding and sampling knobs), DissimilarityMetric
-                   (metric, metric_sigma)
+    [data]         DataConfig, PartitionSpec, DiversityConfig (measure);
+                   runs build classification data only, so the time-series
+                   and clustering knobs of DiversityConfig are API-only
     [train]        TrainConfig, except its seed: every device and round
                    trains with its own seed
     [network]      NetworkConfig
@@ -60,6 +60,8 @@ class ExperimentSpec:
             raise ConfigError("experiment name must be non-empty")
         if not self.schedulers or not self.seeds:
             raise ConfigError("need at least one scheduler and one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -107,10 +109,7 @@ SCHEMA = {
         **_same_names("base.data.", "n_classes", "dim", "samples_per_class", "class_sep", "test_fraction"),
         **_same_names("base.data.partition.", "skew", "alpha", "size_dist", "size_sigma", "power_exponent"),
         **_same_names("base.data.partition.", "min_size", "redundancy_factor"),
-        **_same_names("base.data.diversity.", "embedding_m", "tolerance_scale", "uncertainty_cap", "sample_size"),
         "measure": ("base.data.diversity.classification_measure",),
-        "metric": ("base.data.diversity.metric.kind",),
-        "metric_sigma": ("base.data.diversity.metric.sigma",),
     },
     "train": _same_names("base.train.", "epochs", "batch_size", "learning_rate", "l2_reg"),
     "network": _same_names("base.network.", *(f.name for f in fields(NetworkConfig))),
@@ -197,8 +196,6 @@ def load_config(path: str) -> ExperimentSpec:
     values = _read_values(path)
     if "name" not in values:
         raise ConfigError(f"{path}: missing required key 'name' in [experiment]")
-    if values.get("base.data.diversity.metric.kind") != "heat_kernel":
-        values.pop("base.data.diversity.metric.sigma", None)  # only the heat kernel has a width
     # a device with fewer samples than one mini-batch cannot make a full step
     values.setdefault("base.constraints.min_data_size", values.get("base.train.batch_size", TrainConfig.batch_size))
     try:

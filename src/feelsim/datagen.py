@@ -10,7 +10,6 @@ own rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -274,13 +273,3 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
         validate_profile(profile)
         fleet.append(profile)
     return fleet
-
-
-def export_partition_summary(datasets: list, n_classes: int, path) -> None:
-    """Write per-device size and class histogram to a CSV for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["device_id", "n_samples"] + [f"count_{c}" for c in range(n_classes)])
-        for i, ds in enumerate(datasets):
-            counts = ds.class_counts(n_classes)
-            writer.writerow([i, ds.n_samples] + [int(c) for c in counts])

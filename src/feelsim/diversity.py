@@ -56,7 +56,7 @@ def shannon_entropy(class_counts) -> float:
     if counts.size == 0 or total <= 0:
         raise EmptyDatasetError("entropy of an empty histogram")
     p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
+    return float(0.0 - (p * np.log(p)).sum())  # not -sum: one class gives +0.0, not -0.0
 
 
 def gini_simpson(class_counts) -> float:
@@ -183,15 +183,6 @@ def _pairwise(a: np.ndarray, b: np.ndarray, metric: DissimilarityMetric) -> np.n
     return 1.0 - cos
 
 
-def pair_dissimilarity(u, v, metric: DissimilarityMetric) -> float:
-    """Dissimilarity between two vectors under ``metric``."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ShapeMismatchError(f"{u.shape} vs {v.shape}")
-    return float(_pairwise(u[None, :], v[None, :], metric)[0])
-
-
 def mean_pairwise_dissimilarity(
     points, metric: DissimilarityMetric, sample_size: int = 64, seed: int = 0
 ) -> float:
@@ -305,7 +296,7 @@ def model_global_dissimilarity(
     """Dissimilarity between a local and the global flat parameter vector."""
     if local.weights.shape != global_model.weights.shape:
         raise ShapeMismatchError(f"{local.weights.shape} vs {global_model.weights.shape}")
-    return pair_dissimilarity(local.weights, global_model.weights, metric)
+    return float(_pairwise(local.weights[None, :], global_model.weights[None, :], metric)[0])
 
 
 def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
@@ -359,16 +350,14 @@ def model_diversity_index(
     grouping: tuple,
     weights: tuple = (0.7, 0.3),
     redundancy_cap: float = 1.0,
-    ceiling: Optional[float] = None,
 ) -> float:
     """Weighted blend of model movement and internal redundancy.
 
     index = w_div * cosine dissimilarity(local, global)
           + w_red * clamp(parameter_redundancy / redundancy_cap, 0, 1)
 
-    ``ceiling``, when given, caps the result; the round loop derives it from
-    the distribution of indices reported in the same round so single outliers
-    cannot monopolize selection.
+    The round loop caps the indices of one round at their ``outlier_ceiling``
+    so single outliers cannot monopolize selection.
     """
     w_div, w_red = weights
     if w_div < 0 or w_red < 0 or abs(w_div + w_red - 1.0) > 1e-9:
@@ -379,10 +368,7 @@ def model_diversity_index(
         raise ShapeMismatchError(f"{local.weights.shape} vs {global_model.weights.shape}")
     dissim = _cosine_dissimilarity(local.weights, global_model.weights)
     red = parameter_redundancy(local, grouping)
-    index = w_div * dissim + w_red * min(red / redundancy_cap, 1.0)
-    if ceiling is not None:
-        index = min(index, ceiling)
-    return float(index)
+    return float(w_div * dissim + w_red * min(red / redundancy_cap, 1.0))
 
 
 def outlier_ceiling(values: Sequence[float], percentile: float = 95.0) -> float:

@@ -163,12 +163,10 @@ class RoundRecord:
     device_energy: dict = field(default_factory=dict)
 
 
-def validate_profile(profile: DeviceProfile, current_round: Optional[int] = None) -> None:
+def validate_profile(profile: DeviceProfile) -> None:
     """Check every DeviceProfile invariant; raise on the first violation.
 
     The raised ValidationError names the violated invariant in its ``code``.
-    ``current_round`` additionally bounds the participation counter when the
-    caller knows which round the profile belongs to.
     """
     if not (0.0 <= profile.battery_level <= 1.0) or math.isnan(profile.battery_level):
         raise ValidationError("battery_out_of_range", f"{profile.battery_level}")
@@ -184,8 +182,3 @@ def validate_profile(profile: DeviceProfile, current_round: Optional[int] = None
         raise ValidationError("nonpositive_capacity", f"{profile.capacity_joules}")
     if profile.participation_count < 0:
         raise ValidationError("negative_participation")
-    if current_round is not None and profile.participation_count > current_round:
-        raise ValidationError(
-            "participation_ahead_of_round",
-            f"{profile.participation_count} > {current_round}",
-        )

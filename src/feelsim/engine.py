@@ -99,6 +99,8 @@ class SimulationConfig:
             raise ValidationError("negative_q")
         if self.target_accuracy is not None and not (0.0 < self.target_accuracy <= 1.0):
             raise ValidationError("target_out_of_range")
+        if self.master_seed < 0:
+            raise ValidationError("negative_seed", f"master_seed {self.master_seed}")
 
     @property
     def n_devices(self) -> int:
@@ -154,15 +156,7 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
     devices = {d.id: d for d in fleet}
 
     model = init_model(data.dim, data.n_classes, seeding.derive_seed(cfg.master_seed, seeding.MODEL_INIT))
-    profiles = {
-        d.id: dataset_diversity_index(
-            d.dataset,
-            data.diversity,
-            n_classes=data.n_classes,
-            seed=seeding.derive_seed(cfg.master_seed, seeding.DIVERSITY, d.id),
-        )
-        for d in fleet
-    }
+    profiles = {d.id: dataset_diversity_index(d.dataset, data.diversity, n_classes=data.n_classes) for d in fleet}
     return SimulationState(
         cfg=cfg,
         devices=devices,

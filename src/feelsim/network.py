@@ -83,17 +83,17 @@ def expected_completion_time(
     return compute_time(device, device.dataset.n_samples, epochs) + cfg.model_size_bits / rate
 
 
-def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int, bits: dict = None) -> dict:
+def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     """Split the band across the selected devices.
 
     ``equal`` gives every device total_bandwidth / n.  ``equalize_completion``
     solves, by bisection on the common finish time T, for the shares that let
-    every device end together: b_k = bits_k / (s_k * (T - compute_k)) with
-    s_k the spectral efficiency.  A device whose spectral efficiency
-    underflows to zero cannot finish under any finite T; it falls back to the
-    equal share and the remaining band is equalized among the rest.
+    every device end together: b_k = bits / (s_k * (T - compute_k)) with
+    bits the model size and s_k the spectral efficiency.  A device whose
+    spectral efficiency underflows to zero cannot finish under any finite T;
+    it falls back to the equal share and the remaining band is equalized
+    among the rest.
 
-    ``bits`` optionally overrides the per-device payload (device id -> bits).
     Shares always sum to the total bandwidth.
     """
     if not selected:
@@ -104,7 +104,7 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int, bits: di
     if cfg.allocation_strategy == "equal":
         return {d.id: equal_share for d in selected}
 
-    payload = {d.id: (bits[d.id] if bits else cfg.model_size_bits) for d in selected}
+    bits = cfg.model_size_bits
     eff = {d.id: _spectral_efficiency(d.channel) for d in selected}
     solvable = [d for d in selected if eff[d.id] > 0.0]
     fallback = [d for d in selected if eff[d.id] <= 0.0]
@@ -116,18 +116,18 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int, bits: di
     comp = {d.id: compute_time(d, d.dataset.n_samples, epochs) for d in solvable}
 
     def demand(t: float) -> float:
-        return sum(payload[d.id] / (eff[d.id] * (t - comp[d.id])) for d in solvable)
+        return sum(bits / (eff[d.id] * (t - comp[d.id])) for d in solvable)
 
     lo = max(comp.values())
     per_dev = remaining / len(solvable)
-    hi = max(comp[d.id] + payload[d.id] / (eff[d.id] * per_dev) for d in solvable)
+    hi = max(comp[d.id] + bits / (eff[d.id] * per_dev) for d in solvable)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         if demand(mid) > remaining:
             lo = mid
         else:
             hi = mid
-    raw = {d.id: payload[d.id] / (eff[d.id] * (hi - comp[d.id])) for d in solvable}
+    raw = {d.id: bits / (eff[d.id] * (hi - comp[d.id])) for d in solvable}
     scale = remaining / sum(raw.values())
     shares.update({did: share * scale for did, share in raw.items()})
     return shares

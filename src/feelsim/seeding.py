@@ -20,7 +20,6 @@ MODEL_INIT = 4
 CHANNEL = 5
 TRAINING = 6
 SCHEDULING = 7
-DIVERSITY = 8
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from feelsim.cli import main, run_experiment
 from feelsim.config_io import load_config, spec_with_overrides
 from feelsim.engine import SimulationConfig
 from feelsim.errors import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL = """\
 [experiment]
@@ -104,8 +107,15 @@ def test_unknown_section_names_the_line(tmp_path):
 def test_unknown_key_names_the_line(tmp_path):
     with pytest.raises(ConfigError, match=r":2: unknown key 'colour'"):
         load_config(_write(tmp_path, "[experiment]\ncolour = blue\nname = x\n"))
-    # the engine and the sweep set these seeds themselves, so they are not keys
-    for section, key in (("train", "seed"), ("experiment", "master_seed")):
+    # the engine and the sweep set these seeds themselves, and a run builds
+    # classification data only, so the time-series and clustering knobs are
+    # not keys either
+    removed = [("train", "seed"), ("experiment", "master_seed")]
+    removed += [
+        ("data", key)
+        for key in ("embedding_m", "tolerance_scale", "uncertainty_cap", "sample_size", "metric", "metric_sigma")
+    ]
+    for section, key in removed:
         text = f"[{section}]\n{key} = 5\n[experiment]\nname = x\n"
         with pytest.raises(ConfigError, match=rf":2: unknown key '{key}' in \[{section}\]"):
             load_config(_write(tmp_path, text))
@@ -148,6 +158,18 @@ def test_invalid_policy_comes_from_simulation_config(tmp_path):
     text = "[scheduler]\npolicy = psychic\n\n[experiment]\nname = x\n"
     with pytest.raises(ConfigError, match="unknown_policy"):
         load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "path, schedulers",
+    [
+        ("configs/quickstart.cfg", ["diversity_pre", "random", "age_fair"]),
+        ("perfbench/policy_sweep.cfg", ["diversity_pre", "diversity_post", "random", "data_size", "age_fair"]),
+    ],
+)
+def test_shipped_configs_load(path, schedulers):
+    spec = load_config(str(REPO / path))
+    assert spec.schedulers == schedulers
 
 
 def test_overrides(tmp_path):
@@ -220,6 +242,17 @@ def test_main_missing_file_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("where", ["command_line", "file"])
+def test_main_negative_seed_exit_code(tmp_path, capsys, where):
+    if where == "file":
+        argv = ["run", _write(tmp_path, SMALL_RUN.replace("seeds = 0, 1", "seeds = -1"))]
+    else:
+        argv = ["run", _write(tmp_path, SMALL_RUN), "--seeds=-1"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # ----------------------------------------------------------------- measures
 
 
@@ -236,6 +269,13 @@ def test_measures_classification(tmp_path, capsys):
     # balanced three classes: shannon = ln 3
     assert f"{math.log(3):.9g}"[:8] in out
     assert "diversity_index" in out
+
+
+def test_measures_single_class_entropy_is_positive_zero(tmp_path, capsys):
+    path = tmp_path / "one_class.csv"
+    np.savetxt(path, np.column_stack([np.arange(5.0), np.zeros(5)]), delimiter=",")
+    assert main(["measures", str(path), "--task", "classification"]) == 0
+    assert "shannon_entropy = 0\n" in capsys.readouterr().out
 
 
 def test_measures_timeseries(tmp_path, capsys):

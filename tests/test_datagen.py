@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from feelsim.datagen import (
     FleetSpec,
     PartitionSpec,
-    export_partition_summary,
     make_classification_pool,
     make_fleet,
     make_timeseries,
@@ -200,13 +199,3 @@ def test_fleet_device_streams_are_independent():
     for a, b in zip(small, large):
         assert a.cpu_freq == b.cpu_freq
         assert a.channel.snr_db == b.channel.snr_db
-
-
-def test_export_partition_summary(tmp_path):
-    pool = _uniform_pool(n=40, n_classes=2)
-    parts = partition(pool, PartitionSpec(n_devices=4), seed=0)
-    out = tmp_path / "parts.csv"
-    export_partition_summary(parts, 2, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "device_id,n_samples,count_0,count_1"
-    assert len(lines) == 5

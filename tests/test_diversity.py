@@ -43,6 +43,9 @@ def test_shannon_balanced_four_classes_is_ln4():
 
 def test_shannon_single_class_is_zero():
     assert shannon_entropy([10, 0, 0]) == 0.0
+    # +0.0, not -0.0, which would print as "-0"
+    for counts in ([5], [0, 7, 0]):
+        assert math.copysign(1.0, shannon_entropy(counts)) == 1.0
 
 
 def test_shannon_skewed_frozen_value():
@@ -368,8 +371,6 @@ def test_model_diversity_index_blend_and_clamp():
     want = 0.7 * dissim + 0.3 * min(red / cap, 1.0)
     got = model_diversity_index(local, ref, (3, 4), (0.7, 0.3), redundancy_cap=cap)
     assert got == pytest.approx(want, rel=1e-12)
-    # ceiling clamps exactly
-    assert model_diversity_index(local, ref, (3, 4), (0.7, 0.3), redundancy_cap=cap, ceiling=want / 2) == want / 2
 
 
 def test_model_diversity_index_is_bitwise_the_blend():

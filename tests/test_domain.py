@@ -45,14 +45,6 @@ def test_validate_profile_reports_first_violation():
     assert err.value.code == "battery_out_of_range"
 
 
-def test_validate_profile_participation_bound():
-    dev = dataclasses.replace(make_device(), participation_count=5)
-    validate_profile(dev, current_round=5)
-    with pytest.raises(ValidationError) as err:
-        validate_profile(dev, current_round=4)
-    assert err.value.code == "participation_ahead_of_round"
-
-
 def test_value_types_are_immutable():
     # DeviceProfile is the one mutable type: the engine evolves it in place
     dev = make_device()

@@ -333,6 +333,8 @@ def test_config_validation():
         small_config(target_accuracy=1.5)
     with pytest.raises(ValidationError):
         small_config(qffl_q=-1.0)
+    with pytest.raises(ValidationError, match="master_seed -1"):
+        small_config(master_seed=-1)
     with pytest.raises(ValidationError):
         DataConfig(test_fraction=0.0)
 

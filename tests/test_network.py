@@ -177,14 +177,6 @@ def test_equalize_never_slower_than_equal_split():
         assert t_eq <= t_flat * (1 + 1e-9)
 
 
-def test_equalize_per_device_payload_override():
-    devs = [make_device(device_id=i, snr_db=10.0, n_samples=50) for i in range(2)]
-    cfg = _equalize_cfg()
-    shares = allocate_bandwidth(devs, cfg, epochs=1, bits={0: 2e6, 1: 1e6})
-    # same channel and compute -> double payload needs double band
-    assert shares[0] == pytest.approx(2 * shares[1], rel=1e-6)
-
-
 def test_equalize_degenerate_device_gets_equal_share():
     ok = make_device(device_id=0, snr_db=10.0, n_samples=50)
     dead = make_device(device_id=1, snr_db=-4000.0, n_samples=50)
