@@ -15,14 +15,14 @@ dataclass default; defaults live only there:
     [train]        TrainConfig, except its seed: every device and round
                    trains with its own seed
     [network]      NetworkConfig
-    [constraints]  ConstraintConfig; min_data_size defaults to the [train]
-                   batch_size
-    [scheduler]    SimulationConfig (policy, k, aggregation, q,
-                   size_priority_inverse), ScoreWeights, DiversityConfig
-                   (the model-diversity weights, cap and percentile)
+    [constraints]  ConstraintConfig
+    [scheduler]    SimulationConfig (k, aggregation, q, size_priority_inverse),
+                   ScoreWeights, DiversityConfig (the model-diversity
+                   weights, cap and percentile)
     [experiment]   ExperimentSpec (name, seeds, schedulers, output_dir),
-                   SimulationConfig (rounds_max, target_accuracy); each
-                   sweep seed is the master seed of its run
+                   SimulationConfig (rounds_max, target_accuracy); the
+                   sweep runs every scheduler with every seed, each as the
+                   policy and master seed of its run, so neither may repeat
 
 The minimal valid file is just
 
@@ -38,9 +38,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .datagen import FleetSpec
-from .engine import SimulationConfig
+from .engine import POLICIES, SimulationConfig
 from .errors import ConfigError, FeelsimError
-from .learning import TrainConfig
 from .network import NetworkConfig
 from .scheduler import ConstraintConfig
 
@@ -62,6 +61,12 @@ class ExperimentSpec:
             raise ConfigError("need at least one scheduler and one seed")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        unknown = [s for s in self.schedulers if s not in POLICIES]
+        if unknown:
+            raise ConfigError(f"unknown scheduler {unknown[0]!r}; choose from {', '.join(POLICIES)}")
+        for what, items in (("scheduler", self.schedulers), ("seed", self.seeds)):
+            if len(set(items)) < len(items):
+                raise ConfigError(f"repeated {what} in {', '.join(map(str, items))}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -115,7 +120,7 @@ SCHEMA = {
     "network": _same_names("base.network.", *(f.name for f in fields(NetworkConfig))),
     "constraints": _same_names("base.constraints.", *(f.name for f in fields(ConstraintConfig))),
     "scheduler": {
-        **_same_names("base.", "policy", "aggregation", "size_priority_inverse"),
+        **_same_names("base.", "aggregation", "size_priority_inverse"),
         "k": ("base.k_per_round",),
         "q": ("base.qffl_q",),
         **_same_names("base.weights.", "w_diversity", "w_battery", "w_channel"),
@@ -196,8 +201,6 @@ def load_config(path: str) -> ExperimentSpec:
     values = _read_values(path)
     if "name" not in values:
         raise ConfigError(f"{path}: missing required key 'name' in [experiment]")
-    # a device with fewer samples than one mini-batch cannot make a full step
-    values.setdefault("base.constraints.min_data_size", values.get("base.train.batch_size", TrainConfig.batch_size))
     try:
         base = _with_values(SimulationConfig(), values, "base.")
     except FeelsimError as exc:

@@ -237,6 +237,8 @@ class FleetSpec:
                 raise ValidationError(f"nonpositive_{name}")
             if hi < lo:
                 raise ValidationError(f"inverted_{name}_range")
+        if self.tx_power_min < 0:
+            raise ValidationError("negative_tx_power", f"tx_power_min {self.tx_power_min}")
         if not (0 < self.battery_min and self.battery_max <= 1.0):
             raise ValidationError("battery_out_of_range")
         if self.energy_per_cycle < 0 or self.capacity_joules <= 0:

@@ -132,14 +132,12 @@ def sample_entropy(series, m: int = 2, r: float = 0.2) -> float:
     if n <= m + 1:
         raise SeriesTooShortError(f"need length > {m + 1}, got {n}")
 
-    tm = sliding_window_view(x, m)[: n - m]
-    tm1 = sliding_window_view(x, m + 1)
-    iu = np.triu_indices(n - m, k=1)
+    def pairs(y: np.ndarray, mm: int) -> int:
+        # a finite template matches itself; any other match is counted from both ends
+        self_matches = int(np.isfinite(sliding_window_view(y, mm)).all(axis=1).sum())
+        return (int(_template_counts(y, mm, r).sum()) - self_matches) // 2
 
-    dist_m = np.abs(tm[:, None, :] - tm[None, :, :]).max(axis=2)
-    dist_m1 = np.abs(tm1[:, None, :] - tm1[None, :, :]).max(axis=2)
-    b = int((dist_m[iu] <= r).sum())
-    a = int((dist_m1[iu] <= r).sum())
+    b, a = pairs(x[:-1], m), pairs(x, m + 1)
     if a == 0 or b == 0:
         raise NoTemplateMatchesError(f"A={a}, B={b}")
     return float(-math.log(a / b))
@@ -210,6 +208,11 @@ def mean_pairwise_dissimilarity(
 # combined dataset diversity
 
 
+def _require_simplex(*weights: float) -> None:
+    if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValidationError("weights_not_simplex", f"{weights}")
+
+
 @dataclass(frozen=True)
 class DiversityConfig:
     """Knobs for both dataset-side and model-side diversity computation."""
@@ -232,6 +235,7 @@ class DiversityConfig:
             raise ValidationError("nonpositive_cap")
         if not (0 < self.outlier_percentile <= 100):
             raise ValidationError("percentile_out_of_range")
+        _require_simplex(self.model_dissimilarity_weight, self.model_redundancy_weight)
 
 
 def dataset_diversity_index(
@@ -360,8 +364,7 @@ def model_diversity_index(
     so single outliers cannot monopolize selection.
     """
     w_div, w_red = weights
-    if w_div < 0 or w_red < 0 or abs(w_div + w_red - 1.0) > 1e-9:
-        raise ValidationError("weights_not_simplex", f"{weights}")
+    _require_simplex(w_div, w_red)
     if redundancy_cap <= 0:
         raise ValidationError("nonpositive_cap")
     if local.weights.shape != global_model.weights.shape:

@@ -185,14 +185,6 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
     )
 
 
-def _eligible(state: SimulationState) -> list:
-    """Fade every channel for this round, then apply the hard constraints."""
-    cfg = state.cfg
-    for did, dev in state.devices.items():
-        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, state.round)
-    return filter_eligible(state.devices.values(), cfg.constraints, cfg.network, cfg.train.epochs)
-
-
 def _train(state: SimulationState, devices: list) -> dict:
     """Each device's local update from the current global model, by id."""
     cfg = state.cfg
@@ -210,10 +202,32 @@ def _drain(dev: DeviceProfile, joules: float) -> float:
     return charged
 
 
-def _schedule(state: SimulationState, eligible: list) -> ScheduleDecision:
-    """Pre-training selection by the configured policy."""
+def _model_indices(state: SimulationState, updates: dict) -> dict:
+    """Each trained device's reported model-diversity index, capped at the round's outlier ceiling."""
+    data = state.cfg.data
+    div = data.diversity
+    raw = {
+        did: model_diversity_index(
+            upd.params,
+            state.model,
+            (data.n_classes, data.dim + 1),
+            (div.model_dissimilarity_weight, div.model_redundancy_weight),
+            redundancy_cap=div.redundancy_cap,
+        )
+        for did, upd in updates.items()
+    }
+    if not raw:
+        return {}
+    ceiling = outlier_ceiling(list(raw.values()), div.outlier_percentile)
+    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in raw.items()}
+
+
+def _schedule(state: SimulationState, eligible: list, updates: dict) -> ScheduleDecision:
+    """Selection by the configured policy; ``updates`` are the post-training mode's local models."""
     cfg = state.cfg
     k, shared = cfg.k_per_round, (cfg.constraints, cfg.network, cfg.train.epochs)
+    if cfg.policy == "diversity_post":
+        return schedule_post_training(eligible, _model_indices(state, updates), k, *shared)
     if cfg.policy == "diversity_pre":
         diversity = {d.id: dataset_report(d, state.dataset_profiles[d.id]).diversity_index for d in eligible}
         return schedule_pre_training(eligible, diversity, k, cfg.weights, *shared)
@@ -225,26 +239,38 @@ def _schedule(state: SimulationState, eligible: list) -> ScheduleDecision:
     return schedule_data_size_priority(eligible, k, seed, *shared, inverse=cfg.size_priority_inverse)
 
 
-def _finish_round(
-    state: SimulationState, decision: ScheduleDecision, updates: dict, sunk_times: dict, sunk_energy: dict
-) -> RoundRecord:
-    """Both modes' tail: uploads, aggregation, evaluation, the round record.
+def _round(state: SimulationState, train_first: bool) -> RoundRecord:
+    """One round of either mode: filter, select and train, upload, aggregate, evaluate.
 
-    ``sunk_*`` is what devices spent training before the server decided; it
-    stays charged, and is all the round records, when the round aborts.  A
-    selected device with nothing sunk pays for its training and its upload
-    as one charge.
+    With ``train_first`` (post-training mode) every eligible device trains
+    and pays its compute before the server decides; that energy stays
+    charged, and the compute times are all the round records, when the round
+    aborts.  Otherwise only the selected devices train, and each pays for its
+    training and its upload as one charge.
     """
     cfg = state.cfg
     epochs = cfg.train.epochs
+    for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
+        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, state.round)
+    eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
+    compute_times, energies, updates = {}, {}, {}
+    if train_first:
+        updates = _train(state, eligible)
+        for dev in eligible:
+            compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, epochs)
+            energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, epochs))
+    decision = _schedule(state, eligible, updates)
     participants = tuple(sorted(decision.selected)) if decision.round_valid else ()
-    times, energies = {} if participants else dict(sunk_times), dict(sunk_energy)
+    if not train_first:
+        updates = _train(state, [state.devices[did] for did in participants])
+
+    times = {} if participants else compute_times
     for did in participants:
         dev = state.devices[did]
         t_comm = cfg.network.model_size_bits / channel_rate(dev.channel, decision.bandwidth_share[did])
         times[did] = compute_time(dev, dev.dataset.n_samples, epochs) + t_comm
         joules = energy_transmit(dev, t_comm)
-        if did not in sunk_energy:
+        if not train_first:
             joules = energy_compute(dev, dev.dataset.n_samples, epochs) + joules
         energies[did] = energies.get(did, 0.0) + _drain(dev, joules)
         dev.participation_count += 1
@@ -277,49 +303,13 @@ def _finish_round(
 
 
 def run_round_pre(state: SimulationState) -> RoundRecord:
-    """One select-train-upload-aggregate round; only selected devices work."""
-    decision = _schedule(state, _eligible(state))
-    selected = [state.devices[did] for did in decision.selected] if decision.round_valid else []
-    return _finish_round(state, decision, _train(state, selected), sunk_times={}, sunk_energy={})
+    """One select-train-upload-aggregate round; only selected devices train."""
+    return _round(state, train_first=False)
 
 
 def run_round_post(state: SimulationState) -> RoundRecord:
-    """One broadcast-train-report-upload round; every eligible device trains.
-
-    Compute energy is sunk by all eligible devices before the server decides,
-    so it is charged even when the round aborts; only the top K by model
-    diversity pay for and gate on the upload.
-    """
-    cfg = state.cfg
-    data = cfg.data
-    eligible = _eligible(state)
-    updates = _train(state, eligible)
-    compute_times, energies = {}, {}
-    for dev in eligible:
-        compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, cfg.train.epochs)
-        energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, cfg.train.epochs))
-
-    grouping = (data.n_classes, data.dim + 1)
-    div = data.diversity
-    raw = {
-        did: model_diversity_index(
-            upd.params,
-            state.model,
-            grouping,
-            (div.model_dissimilarity_weight, div.model_redundancy_weight),
-            redundancy_cap=div.redundancy_cap,
-        )
-        for did, upd in updates.items()
-    }
-    if raw:
-        ceiling = outlier_ceiling(list(raw.values()), div.outlier_percentile)
-        raw = {did: min(v, ceiling) for did, v in raw.items()}
-    indices = {did: model_report(state.devices[did], raw[did]).diversity_index for did in raw}
-
-    decision = schedule_post_training(
-        eligible, indices, cfg.k_per_round, cfg.constraints, cfg.network, cfg.train.epochs
-    )
-    return _finish_round(state, decision, updates, compute_times, energies)
+    """One broadcast-train-report-upload round; every eligible device trains."""
+    return _round(state, train_first=True)
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:

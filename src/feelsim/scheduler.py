@@ -5,7 +5,10 @@ SNR floor, a completion-time budget under a conservative equal-share
 bandwidth estimate, and a minimum local data size (a device with fewer
 samples than one mini-batch cannot contribute a meaningful update).
 
-Policies:
+Every policy picks k of ``filter_eligible``'s output and checks no deadline
+of its own: a device that finishes in time at the filter's share
+total_bandwidth / N also does at a selection's larger share
+total_bandwidth / k.  Policies:
 
 * ``schedule_pre_training``   - score eligible devices on reported data
   diversity, battery, and channel quality before any training happens.
@@ -119,42 +122,18 @@ def _decision(chosen: list, constraints: ConstraintConfig, net: NetworkConfig, e
     return ScheduleDecision(ids, shares, predicted, len(ids) >= constraints.min_participants)
 
 
-def _cap_stragglers(chosen: list, constraints: ConstraintConfig, net: NetworkConfig, epochs: int) -> list:
-    """Shrink the selection while its equal band share breaks the deadline.
-
-    Eligibility already checks every device at the smaller share
-    total_bandwidth / len(offered), so this never fires from the engine; it
-    guards direct callers that skip the filter.
-    """
-    chosen = list(chosen)
-    while chosen:
-        share = net.total_bandwidth / len(chosen)
-        worst_time, worst_pos = -math.inf, -1
-        for pos, dev in enumerate(chosen):
-            try:
-                t = expected_completion_time(dev, net, share, epochs)
-            except UnreachableDeviceError:
-                t = math.inf
-            if t > worst_time:
-                worst_time, worst_pos = t, pos
-        if worst_time <= constraints.completion_threshold:
-            break
-        del chosen[worst_pos]
-    return chosen
-
-
 def _top_k(
     eligible: list, k: int, rank: Callable[[], list], constraints: ConstraintConfig, net: NetworkConfig, epochs: int
 ) -> ScheduleDecision:
     """The selection path every policy shares.
 
     ``rank()`` orders the non-empty ``eligible`` list best first; it may stop
-    after k.  The first k are capped for stragglers, then get the band.
+    after k.  The first k get the band.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     order = rank() if eligible else []
-    return _decision(_cap_stragglers(order[:k], constraints, net, epochs), constraints, net, epochs)
+    return _decision(order[:k], constraints, net, epochs)
 
 
 def schedule_pre_training(
@@ -166,7 +145,7 @@ def schedule_pre_training(
     net: NetworkConfig,
     epochs: int,
 ) -> ScheduleDecision:
-    """Top-K devices by blended diversity / battery / channel score.
+    """Top-K eligible devices by blended diversity / battery / channel score.
 
     ``diversity`` maps device id to the scalar index each device reported.
     Diversity and SNR are min-max normalized over the eligible set (a
@@ -193,7 +172,7 @@ def schedule_post_training(
     net: NetworkConfig,
     epochs: int,
 ) -> ScheduleDecision:
-    """Top-K devices by reported model-diversity index (already clamped)."""
+    """Top-K eligible devices by reported model-diversity index (already clamped)."""
 
     def rank() -> list:
         return sorted(eligible, key=lambda d: (-float(indices[d.id]), d.id))
@@ -209,7 +188,7 @@ def schedule_random(
     net: NetworkConfig,
     epochs: int,
 ) -> ScheduleDecision:
-    """Uniform without-replacement baseline."""
+    """Uniform without-replacement draw of k eligible devices: the baseline."""
 
     def rank() -> list:
         picks = np.random.default_rng(seed).choice(len(eligible), size=min(k, len(eligible)), replace=False)
@@ -227,7 +206,7 @@ def schedule_data_size_priority(
     epochs: int,
     inverse: bool = False,
 ) -> ScheduleDecision:
-    """Weighted draw with probability proportional to local sample count.
+    """Weighted draw of eligible devices, with probability proportional to local sample count.
 
     ``inverse=True`` flips the weights to 1/size, matching the literal
     wording sometimes used for this policy; the default favors large
@@ -265,7 +244,7 @@ def schedule_age_fair(
     net: NetworkConfig,
     epochs: int,
 ) -> ScheduleDecision:
-    """Pick the devices that have gone longest without contributing.
+    """Pick the eligible devices that have gone longest without contributing.
 
     A device that never participated has infinite age and wins outright;
     ties break toward fewer total participations, then the lower id.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ batch_size = 8
 model_size_bits = 1e5
 
 [scheduler]
-policy = diversity_pre
 k = 3
 
 [experiment]
@@ -69,13 +67,9 @@ def test_minimal_config_gets_all_defaults(tmp_path):
     assert spec.base.k_per_round == 10
     assert spec.base.network.total_bandwidth == 1e6
     assert spec.base.constraints.completion_threshold == math.inf
-    # every default comes from the dataclasses, except that min_data_size
-    # tracks the training batch size
-    assert spec.base.constraints.min_data_size == spec.base.train.batch_size
-    defaults = SimulationConfig()
-    assert spec.base == replace(
-        defaults, constraints=replace(defaults.constraints, min_data_size=defaults.train.batch_size)
-    )
+    # every default comes from the dataclasses, so the API and a file agree
+    assert spec.base.constraints.min_data_size == 1
+    assert spec.base == SimulationConfig()
 
 
 def test_full_config_round_trip(tmp_path):
@@ -91,7 +85,7 @@ def test_full_config_round_trip(tmp_path):
     assert spec.base.network.model_size_bits == 1e5
     assert spec.base.k_per_round == 3
     assert spec.base.rounds_max == 3
-    assert spec.base.constraints.min_data_size == 8
+    assert spec.base.constraints.min_data_size == 1  # the default, whatever the batch size
 
 
 def test_missing_name_is_an_error(tmp_path):
@@ -107,10 +101,10 @@ def test_unknown_section_names_the_line(tmp_path):
 def test_unknown_key_names_the_line(tmp_path):
     with pytest.raises(ConfigError, match=r":2: unknown key 'colour'"):
         load_config(_write(tmp_path, "[experiment]\ncolour = blue\nname = x\n"))
-    # the engine and the sweep set these seeds themselves, and a run builds
-    # classification data only, so the time-series and clustering knobs are
-    # not keys either
-    removed = [("train", "seed"), ("experiment", "master_seed")]
+    # the engine and the sweep set these seeds and the policy themselves, and
+    # a run builds classification data only, so the time-series and
+    # clustering knobs are not keys either
+    removed = [("train", "seed"), ("experiment", "master_seed"), ("scheduler", "policy")]
     removed += [
         ("data", key)
         for key in ("embedding_m", "tolerance_scale", "uncertainty_cap", "sample_size", "metric", "metric_sigma")
@@ -148,16 +142,35 @@ def test_semantic_errors_wrapped_as_config_errors(tmp_path):
     text = "[scheduler]\nw_diversity = 0.9\n\n[experiment]\nname = x\n"
     with pytest.raises(ConfigError, match="weights_not_simplex"):
         load_config(_write(tmp_path, text))
-    # -1 is a negative size, not a request for the batch-size default
     text = "[constraints]\nmin_data_size = -1\n\n[experiment]\nname = x\n"
     with pytest.raises(ConfigError, match="negative_data_size"):
         load_config(_write(tmp_path, text))
 
 
-def test_invalid_policy_comes_from_simulation_config(tmp_path):
-    text = "[scheduler]\npolicy = psychic\n\n[experiment]\nname = x\n"
-    with pytest.raises(ConfigError, match="unknown_policy"):
+def test_unknown_scheduler_is_a_config_error(tmp_path):
+    text = "[experiment]\nname = x\nschedulers = random, psychic\n"
+    with pytest.raises(ConfigError, match="unknown scheduler 'psychic'"):
         load_config(_write(tmp_path, text))
+    spec = load_config(_write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match="unknown scheduler 'psychic'"):
+        spec_with_overrides(spec, schedulers=["psychic"])
+
+
+@pytest.mark.parametrize(
+    "setting, override",
+    [
+        ("seeds = 0, 1, 0", {"seeds": [2, 2]}),
+        ("schedulers = random, age_fair, random", {"schedulers": ["age_fair", "age_fair"]}),
+    ],
+    ids=["seeds", "schedulers"],
+)
+def test_repeated_seed_or_scheduler_is_a_config_error(tmp_path, setting, override):
+    # a repeat would run twice and weigh double in the summary statistics
+    with pytest.raises(ConfigError, match="repeated"):
+        load_config(_write(tmp_path, f"[experiment]\nname = x\n{setting}\n"))
+    spec = load_config(_write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match="repeated"):
+        spec_with_overrides(spec, **override)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +253,24 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_missing_file_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, replaced",
+    [
+        ([], ("schedulers = diversity_pre, random", "schedulers = random, psychic")),
+        (["--scheduler", "psychic"], None),
+        (["--seeds", "0,0"], None),
+        (["--scheduler", "random", "--scheduler", "random"], None),
+    ],
+    ids=["unknown_in_file", "unknown_on_command_line", "repeated_seed", "repeated_scheduler"],
+)
+def test_main_rejects_bad_sweep_before_running(tmp_path, capsys, extra, replaced):
+    # nothing runs and nothing is written: no partial sweep without a summary
+    text = SMALL_RUN.replace(*replaced) if replaced else SMALL_RUN
+    assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out"), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("where", ["command_line", "file"])

@@ -192,6 +192,12 @@ def test_fleet_profiles_always_validate(seed):
     assert [d.id for d in fleet] == [0, 1, 2, 3, 4]
 
 
+def test_fleet_spec_rejects_negative_tx_power():
+    FleetSpec(tx_power_min=0.0)  # a silent device is allowed
+    with pytest.raises(ValidationError, match="negative_tx_power"):
+        FleetSpec(tx_power_min=-0.5)
+
+
 def test_fleet_device_streams_are_independent():
     datasets = [_uniform_pool(n=10, n_classes=2) for _ in range(6)]
     small = make_fleet(FleetSpec(n_devices=3), datasets[:3], master_seed=0)

@@ -368,6 +368,9 @@ def invariant_configs(draw) -> SimulationConfig:
             min_battery=draw(st.sampled_from([0.0, 0.05, 0.5])),
             min_snr_db=-30.0,
             min_participants=draw(st.integers(1, 3)),
+            # at the filter's share of the band, completion times here run
+            # from about 0.05 to 0.55 s, with a median of 0.2 s
+            completion_threshold=draw(st.sampled_from([0.1, 0.2, 0.3, math.inf])),
         ),
         policy=draw(st.sampled_from(POLICIES)),
         k_per_round=draw(st.integers(1, 4)),
@@ -411,6 +414,8 @@ def test_round_invariants(cfg):
         if not record.aborted:
             assert record.duration_s == max(record.device_times.values())
             assert len(participants) >= cfg.constraints.min_participants
+            # the filter's deadline holds at every selection's actual shares
+            assert max(record.device_times.values()) <= cfg.constraints.completion_threshold * (1 + 1e-9)
         elif cfg.mode == "pre_training":
             assert record.total_energy_j == 0.0 and record.duration_s == 0.0
     assert state.aborted == sum(r.aborted for r in state.records)

@@ -196,30 +196,6 @@ def test_pre_training_decision_shares_and_predictions():
     assert all(t > 0 for t in decision.predicted_completion.values())
 
 
-# every policy hands its ranking to the same top-k path, straggler cap included
-REPORTED = {0: 0.0, 1: 0.1, 5: 9.9}
-POLICY_CALLS = {
-    "schedule_pre_training": lambda devs, **kw: schedule_pre_training(
-        devs, REPORTED, k=3, weights=ScoreWeights(1.0, 0.0, 0.0), **kw
-    ),
-    "schedule_post_training": lambda devs, **kw: schedule_post_training(devs, REPORTED, k=3, **kw),
-    "schedule_random": lambda devs, **kw: schedule_random(devs, k=3, seed=0, **kw),
-    "schedule_data_size_priority": lambda devs, **kw: schedule_data_size_priority(devs, k=3, seed=0, **kw),
-    "schedule_age_fair": lambda devs, **kw: schedule_age_fair(devs, k=3, current_round=4, **kw),
-}
-
-
-@pytest.mark.parametrize("policy", sorted(POLICY_CALLS))
-def test_straggler_cap_prunes_selection(policy):
-    # direct call without the filter: one device can never meet the deadline
-    fast = [make_device(device_id=i, n_samples=10, snr_db=20.0) for i in range(2)]
-    slow = make_device(device_id=5, n_samples=100_000, cpu_freq=1e8, snr_db=20.0)
-    constraints = ConstraintConfig(min_battery=0.0, completion_threshold=2.0)
-    decision = POLICY_CALLS[policy](fast + [slow], constraints=constraints, net=NET, epochs=1)
-    assert 5 not in decision.selected
-    assert set(decision.selected) == {0, 1}
-
-
 def test_pre_training_k_must_be_positive():
     with pytest.raises(ValueError):
         schedule_pre_training(_fleet(2), {0: 0.0, 1: 0.0}, k=0, weights=ScoreWeights(), constraints=LAX, net=NET, epochs=1)
