@@ -3,8 +3,11 @@
 ``feelsim run <config> [--out DIR] [--seeds 1,2,3] [--scheduler NAME ...]``
 runs every scheduler x seed combination from the config, writes one
 ``rounds.csv`` per run plus a single ``summary.csv``, and prints a comparison
-table.  ``feelsim measures <csv> --task {classification,timeseries}``
-computes the diversity measures for an external dataset.
+table.  The table's median rounds-to-target counts a run that missed the
+target as ``rounds_max + 1`` and reads ``>rounds_max`` when that median lies
+past the budget, or ``-`` when the config sets no ``target_accuracy``.
+``feelsim measures <csv> --task {classification,timeseries}`` computes the
+diversity measures for an external dataset.
 
 Outputs are deterministic: rerunning the same config into a fresh directory
 reproduces every CSV byte for byte.
@@ -33,7 +36,7 @@ from .diversity import (
     shannon_entropy,
 )
 from .domain import LocalDataset
-from .engine import run_simulation
+from .engine import SimulationConfig, run_simulation
 from .errors import FeelsimError, NoTemplateMatchesError
 
 logger = logging.getLogger(__name__)
@@ -129,13 +132,20 @@ def _print_comparison(spec: ExperimentSpec, rows: list) -> None:
         if not mine:
             print(f"{scheduler:<16} {'(all runs failed)':>14}")
             continue
-        reached = [r["rounds_to_target"] for r in mine if r["rounds_to_target"] is not None]
-        med = f"{statistics.median(reached):.1f}" if reached else "-"
+        med = _median_rounds([r["rounds_to_target"] for r in mine], spec.base)
         acc = statistics.mean(r["final_accuracy"] for r in mine)
         t = statistics.mean(r["total_time_s"] for r in mine)
         e = statistics.mean(r["total_energy_j"] for r in mine)
         j = statistics.mean(r["mean_jain"] for r in mine)
         print(f"{scheduler:<16} {med:>14} {acc:>15.4f} {t:>14.2f} {e:>16.2f} {j:>10.4f}")
+
+
+def _median_rounds(reached: list, cfg: SimulationConfig) -> str:
+    """Median rounds-to-target; a run that missed counts as ``rounds_max + 1``."""
+    if cfg.target_accuracy is None:
+        return "-"
+    med = statistics.median(cfg.rounds_max + 1 if r is None else r for r in reached)
+    return f"{med:g}" if med <= cfg.rounds_max else f">{cfg.rounds_max}"
 
 
 def run_measures(path: str, task: str, embedding_m: int, tolerance_scale: float) -> int:

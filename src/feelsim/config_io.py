@@ -5,7 +5,8 @@ comments.  Unknown sections or keys are hard errors that name the offending
 line, so a typo cannot silently fall back to a default.
 
 Each key sets one field of a config dataclass (see ``SCHEMA``) and is parsed
-by that field's type annotation.  A key missing from the file keeps the
+by that field's type annotation; a float takes ``inf`` but not ``nan``, which
+would pass every range check.  A key missing from the file keeps the
 dataclass default; defaults live only there:
 
     [devices]      FleetSpec
@@ -33,6 +34,7 @@ The minimal valid file is just
 from __future__ import annotations
 
 import functools
+import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -78,10 +80,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(f"not a number: {text!r}")
+    return value
+
+
 def _parse_opt_float(text: str) -> Optional[float]:
     if text.lower() in ("none", ""):
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 def _list_parser(item):
@@ -91,7 +100,7 @@ def _list_parser(item):
 # field annotation -> parser of the value text
 PARSERS = {
     int: int,
-    float: float,
+    float: _parse_float,
     str: str,
     bool: _parse_bool,
     Optional[float]: _parse_opt_float,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import DatasetProfile, LocalDataset, ModelParams
+from .domain import DatasetProfile, LocalDataset, ModelParams, require_simplex
 from .errors import (
     EmptyDatasetError,
     NoTemplateMatchesError,
@@ -208,11 +208,6 @@ def mean_pairwise_dissimilarity(
 # combined dataset diversity
 
 
-def _require_simplex(*weights: float) -> None:
-    if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValidationError("weights_not_simplex", f"{weights}")
-
-
 @dataclass(frozen=True)
 class DiversityConfig:
     """Knobs for both dataset-side and model-side diversity computation."""
@@ -235,7 +230,7 @@ class DiversityConfig:
             raise ValidationError("nonpositive_cap")
         if not (0 < self.outlier_percentile <= 100):
             raise ValidationError("percentile_out_of_range")
-        _require_simplex(self.model_dissimilarity_weight, self.model_redundancy_weight)
+        require_simplex(self.model_dissimilarity_weight, self.model_redundancy_weight)
 
 
 def dataset_diversity_index(
@@ -364,7 +359,7 @@ def model_diversity_index(
     so single outliers cannot monopolize selection.
     """
     w_div, w_red = weights
-    _require_simplex(w_div, w_red)
+    require_simplex(w_div, w_red)
     if redundancy_cap <= 0:
         raise ValidationError("nonpositive_cap")
     if local.weights.shape != global_model.weights.shape:

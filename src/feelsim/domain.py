@@ -25,6 +25,12 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def require_simplex(*weights: float) -> None:
+    """Raise unless the weights are finite, nonnegative and sum to one."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValidationError("weights_not_simplex", f"{weights}")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalDataset:
     """A device-local dataset: feature rows plus labels for classification."""

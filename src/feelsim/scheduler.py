@@ -29,11 +29,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .domain import DeviceProfile, ScheduleDecision
+from .domain import DeviceProfile, ScheduleDecision, require_simplex
 from .errors import DegenerateWeightsError, UnreachableDeviceError, ValidationError
 from .network import NetworkConfig, allocate_bandwidth, expected_completion_time
-
-WEIGHT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,7 @@ class ScoreWeights:
     w_channel: float = 0.2
 
     def __post_init__(self):
-        if min(self.w_diversity, self.w_battery, self.w_channel) < 0:
-            raise ValidationError("negative_weight")
-        if abs(self.w_diversity + self.w_battery + self.w_channel - 1.0) > WEIGHT_TOLERANCE:
-            raise ValidationError("weights_not_simplex")
+        require_simplex(self.w_diversity, self.w_battery, self.w_channel)
 
 
 def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, epochs: int) -> list:

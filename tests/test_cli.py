@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feelsim.cli import main, run_experiment
-from feelsim.config_io import load_config, spec_with_overrides
+from feelsim.cli import _print_comparison, main, run_experiment
+from feelsim.config_io import ExperimentSpec, load_config, spec_with_overrides
 from feelsim.engine import SimulationConfig
 from feelsim.errors import ConfigError
 
@@ -173,16 +173,12 @@ def test_repeated_seed_or_scheduler_is_a_config_error(tmp_path, setting, overrid
         spec_with_overrides(spec, **override)
 
 
-@pytest.mark.parametrize(
-    "path, schedulers",
-    [
-        ("configs/quickstart.cfg", ["diversity_pre", "random", "age_fair"]),
-        ("perfbench/policy_sweep.cfg", ["diversity_pre", "diversity_post", "random", "data_size", "age_fair"]),
-    ],
-)
-def test_shipped_configs_load(path, schedulers):
-    spec = load_config(str(REPO / path))
-    assert spec.schedulers == schedulers
+SHIPPED_CONFIGS = [*sorted(REPO.glob("configs/*.cfg")), REPO / "perfbench" / "policy_sweep.cfg"]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: str(path.relative_to(REPO)))
+def test_shipped_configs_load(path):
+    assert load_config(str(path)).name == path.stem
 
 
 def test_overrides(tmp_path):
@@ -193,6 +189,30 @@ def test_overrides(tmp_path):
     assert out.schedulers == ["random"]
     untouched = spec_with_overrides(spec)
     assert untouched == spec
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("constraints", "completion_threshold"),
+        ("train", "learning_rate"),
+        ("scheduler", "q"),
+        ("scheduler", "w_diversity"),
+        ("network", "total_bandwidth"),
+        ("experiment", "target_accuracy"),
+    ],
+)
+def test_nan_is_a_bad_value(tmp_path, capsys, section, key):
+    # a NaN passes every range check, so it would run with that check off
+    cfg = _write(tmp_path, f"[{section}]\n{key} = nan\n[experiment]\nname = x\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"exp.cfg:2: bad value for '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_inf_parses(tmp_path):
+    text = "[constraints]\ncompletion_threshold = inf\n[experiment]\nname = x\n"
+    assert load_config(_write(tmp_path, text)).base.constraints.completion_threshold == math.inf
 
 
 def test_target_accuracy_none_parses(tmp_path):
@@ -228,6 +248,19 @@ def test_run_experiment_writes_expected_tree(tmp_path, capsys):
 
     table = capsys.readouterr().out
     assert "diversity_pre" in table and "random" in table
+
+
+def _table_rounds(capsys, reached, target_accuracy=0.8):
+    spec = ExperimentSpec("x", SimulationConfig(rounds_max=10, target_accuracy=target_accuracy), ["random"])
+    row = {"scheduler": "random", "final_accuracy": 0.5, "total_time_s": 1.0, "total_energy_j": 1.0, "mean_jain": 1.0}
+    _print_comparison(spec, [{**row, "rounds_to_target": r} for r in reached])
+    return capsys.readouterr().out.splitlines()[-1].split()[1]
+
+
+def test_table_median_rounds_counts_missed_runs_past_the_budget(capsys):
+    assert _table_rounds(capsys, [3, None, None]) == ">10"
+    assert _table_rounds(capsys, [3, 4, None]) == "4"
+    assert _table_rounds(capsys, [3, 4], target_accuracy=None) == "-"
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):

@@ -414,7 +414,7 @@ def test_model_diversity_weights_must_be_simplex():
 def test_diversity_config_model_weights_must_be_simplex():
     # a pre-mode run never calls model_diversity_index, so the config itself must refuse
     DiversityConfig(model_dissimilarity_weight=0.25, model_redundancy_weight=0.75)
-    for weights in ((0.9, 0.3), (1.2, -0.2)):
+    for weights in ((0.9, 0.3), (1.2, -0.2), (math.nan, 0.5), (math.nan, math.nan)):
         with pytest.raises(ValidationError, match="weights_not_simplex"):
             DiversityConfig(model_dissimilarity_weight=weights[0], model_redundancy_weight=weights[1])
 

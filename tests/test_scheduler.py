@@ -43,6 +43,8 @@ def test_score_weights_simplex_enforced():
     assert info.value.code == "weights_not_simplex"
     with pytest.raises(ValidationError):
         ScoreWeights(1.2, -0.1, -0.1)
+    with pytest.raises(ValidationError, match="weights_not_simplex"):
+        ScoreWeights(math.nan, 0.5, 0.5)
 
 
 def test_constraint_config_validation():
