@@ -5,9 +5,12 @@ runs every scheduler x seed combination from the config, writes one
 ``rounds.csv`` per run plus a single ``summary.csv``, and prints a comparison
 table.  The table's median rounds-to-target counts a run that missed the
 target as ``rounds_max + 1`` and reads ``>rounds_max`` when that median lies
-past the budget, or ``-`` when the config sets no ``target_accuracy``.
+past the budget, or ``-`` when the config sets no ``target_accuracy``; with
+an even number of seeds it is the upper of the two middle runs, so a tie
+between reaching and missing reads as a miss rather than a round count no
+run had.
 ``feelsim measures <csv> --task {classification,timeseries}`` computes the
-diversity measures for an external dataset.
+diversity measures for an external dataset, by ``DiversityConfig``'s defaults.
 
 Outputs are deterministic: rerunning the same config into a fresh directory
 reproduces every CSV byte for byte.
@@ -31,13 +34,13 @@ from .diversity import (
     DiversityConfig,
     approximate_entropy,
     dataset_diversity_index,
+    entropy_tolerance,
     gini_simpson,
-    sample_entropy,
     shannon_entropy,
 )
 from .domain import LocalDataset
 from .engine import SimulationConfig, run_simulation
-from .errors import FeelsimError, NoTemplateMatchesError
+from .errors import FeelsimError
 
 logger = logging.getLogger(__name__)
 
@@ -141,10 +144,10 @@ def _print_comparison(spec: ExperimentSpec, rows: list) -> None:
 
 
 def _median_rounds(reached: list, cfg: SimulationConfig) -> str:
-    """Median rounds-to-target; a run that missed counts as ``rounds_max + 1``."""
+    """Upper median rounds-to-target; a run that missed counts as ``rounds_max + 1``."""
     if cfg.target_accuracy is None:
         return "-"
-    med = statistics.median(cfg.rounds_max + 1 if r is None else r for r in reached)
+    med = statistics.median_high(cfg.rounds_max + 1 if r is None else r for r in reached)
     return f"{med:g}" if med <= cfg.rounds_max else f">{cfg.rounds_max}"
 
 
@@ -183,15 +186,12 @@ def _measure_lines(data: np.ndarray, task: str, embedding_m: int, tolerance_scal
         yield f"diversity_index = {_fmt(profile.diversity_index)}"
     else:
         series = data[:, 0]
-        r = tolerance_scale * float(series.std())
-        r = r if r > 0 else 1e-12
+        r = entropy_tolerance(series, tolerance_scale)
         yield f"n_samples = {series.size}"
         yield f"approximate_entropy = {_fmt(approximate_entropy(series, embedding_m, r))}"
-        try:
-            yield f"sample_entropy = {_fmt(sample_entropy(series, embedding_m, r))}"
-        except NoTemplateMatchesError:
-            yield "sample_entropy = inf  # no template matches: maximally irregular"
         profile = dataset_diversity_index(LocalDataset("timeseries", series[:, None]), cfg)
+        note = "  # no template matches: maximally irregular" if np.isinf(profile.uncertainty) else ""
+        yield f"sample_entropy = {_fmt(profile.uncertainty)}{note}"
         yield f"diversity_index = {_fmt(profile.diversity_index)}"
 
 
@@ -216,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     meas_p = sub.add_parser("measures", help="compute diversity measures for a CSV dataset")
     meas_p.add_argument("csv", help="numeric CSV; classification: label in last column, timeseries: first column")
     meas_p.add_argument("--task", required=True, choices=["classification", "timeseries"])
-    meas_p.add_argument("--embedding-m", type=int, default=2)
-    meas_p.add_argument("--tolerance-scale", type=float, default=0.2)
+    meas_p.add_argument("--embedding-m", type=int, default=DiversityConfig.embedding_m)
+    meas_p.add_argument("--tolerance-scale", type=float, default=DiversityConfig.tolerance_scale)
     return parser
 
 

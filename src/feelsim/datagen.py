@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, LocalDataset, validate_profile
+from .domain import ChannelState, DeviceProfile, LocalDataset, require_finite, validate_profile
 from .errors import InsufficientPoolError, ValidationError
 
 SKEW_KINDS = ("iid", "dirichlet")
@@ -54,6 +54,7 @@ class PartitionSpec:
             raise ValidationError("nonpositive_min_size")
         if not (0.0 <= self.redundancy_factor < 1.0):
             raise ValidationError("redundancy_out_of_range", f"{self.redundancy_factor}")
+        require_finite(alpha=self.alpha)
 
 
 def make_classification_pool(
@@ -245,6 +246,7 @@ class FleetSpec:
             raise ValidationError("nonpositive_capacity")
         if self.snr_spread_db < 0 or self.std_snr_db < 0:
             raise ValidationError("negative_snr_std")
+        require_finite(capacity_joules=self.capacity_joules, mean_snr_db=self.mean_snr_db)
 
 
 def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:

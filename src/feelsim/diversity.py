@@ -6,14 +6,15 @@ are).  Uncertainty is task specific:
 
 * classification  - Shannon entropy or Gini-Simpson index of the label
   histogram,
-* timeseries      - sample entropy (with approximate entropy available for
-  comparison),
+* timeseries      - sample entropy at tolerance r = tolerance_scale * std
+  (``entropy_tolerance``; approximate entropy is available for comparison),
 * clustering      - mean pairwise dissimilarity of the feature rows.
 
 Model diversity compares a locally trained parameter vector against the
 global model: a dissimilarity term (how far the local model moved) plus a
 parameter-redundancy term (an L2,1 norm over pairwise differences of
-parameter groups).  Only scalar indices ever leave the device.
+parameter groups), weighted as a checked DiversityConfig says.  Only scalar
+indices ever leave the device.
 
 All functions are pure and bit-reproducible given identical inputs and seeds.
 """
@@ -42,6 +43,17 @@ from .errors import (
 # label-histogram uncertainty
 
 
+def _histogram(class_counts, measure: str) -> tuple:
+    """The counts as floats and their total; raises unless both are usable."""
+    counts = np.asarray(class_counts, dtype=float)
+    if counts.size and np.any(counts < 0):
+        raise ValueError("class counts must be nonnegative")
+    total = counts.sum()
+    if counts.size == 0 or total <= 0:
+        raise EmptyDatasetError(f"{measure} of an empty histogram")
+    return counts, total
+
+
 def shannon_entropy(class_counts) -> float:
     """Shannon entropy of a label histogram, in nats.
 
@@ -49,12 +61,7 @@ def shannon_entropy(class_counts) -> float:
     Maximal (ln k) for a balanced histogram over k classes, 0 when a single
     class holds every sample.
     """
-    counts = np.asarray(class_counts, dtype=float)
-    if counts.size and np.any(counts < 0):
-        raise ValueError("class counts must be nonnegative")
-    total = counts.sum()
-    if counts.size == 0 or total <= 0:
-        raise EmptyDatasetError("entropy of an empty histogram")
+    counts, total = _histogram(class_counts, "entropy")
     p = counts[counts > 0] / total
     return float(0.0 - (p * np.log(p)).sum())  # not -sum: one class gives +0.0, not -0.0
 
@@ -65,12 +72,7 @@ def gini_simpson(class_counts) -> float:
     The probability that two independently drawn samples belong to different
     classes.  0 for a single class, 1 - 1/k for a balanced k-class histogram.
     """
-    counts = np.asarray(class_counts, dtype=float)
-    if counts.size and np.any(counts < 0):
-        raise ValueError("class counts must be nonnegative")
-    total = counts.sum()
-    if counts.size == 0 or total <= 0:
-        raise EmptyDatasetError("gini-simpson of an empty histogram")
+    counts, total = _histogram(class_counts, "gini-simpson")
     p = counts / total
     return float(1.0 - (p * p).sum())
 
@@ -89,6 +91,24 @@ def _template_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     return (dist <= r).sum(axis=1)
 
 
+def _series(series, m: int, r: float) -> np.ndarray:
+    """The series as a flat float array; raises unless m, r and its length suit an entropy."""
+    x = np.asarray(series, dtype=float).ravel()
+    if m < 1:
+        raise ValueError("embedding dimension m must be >= 1")
+    if r <= 0:
+        raise ValueError("tolerance r must be positive")
+    if x.size <= m + 1:
+        raise SeriesTooShortError(f"need length > {m + 1}, got {x.size}")
+    return x
+
+
+def entropy_tolerance(series: np.ndarray, scale: float) -> float:
+    """Tolerance r = scale * std of the series; 1e-12 where that is not positive (a flat series)."""
+    r = scale * float(series.std())
+    return r if r > 0 else 1e-12
+
+
 def approximate_entropy(series, m: int = 2, r: float = 0.2) -> float:
     """Approximate entropy: regularity with self-matches included.
 
@@ -97,13 +117,7 @@ def approximate_entropy(series, m: int = 2, r: float = 0.2) -> float:
     the result is phi(m) - phi(m+1).  Low for regular series, higher for
     irregular ones; carries a known bias that shrinks with series length.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    if m < 1:
-        raise ValueError("embedding dimension m must be >= 1")
-    if r <= 0:
-        raise ValueError("tolerance r must be positive")
-    if x.size <= m + 1:
-        raise SeriesTooShortError(f"need length > {m + 1}, got {x.size}")
+    x = _series(series, m, r)
 
     def phi(mm: int) -> float:
         counts = _template_counts(x, mm, r)
@@ -123,14 +137,7 @@ def sample_entropy(series, m: int = 2, r: float = 0.2) -> float:
     ratio is undefined there; callers treating that case as maximal
     irregularity should catch the error.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    if m < 1:
-        raise ValueError("embedding dimension m must be >= 1")
-    if r <= 0:
-        raise ValueError("tolerance r must be positive")
-    n = x.size
-    if n <= m + 1:
-        raise SeriesTooShortError(f"need length > {m + 1}, got {n}")
+    x = _series(series, m, r)
 
     def pairs(y: np.ndarray, mm: int) -> int:
         # a finite template matches itself; any other match is counted from both ends
@@ -265,11 +272,8 @@ def dataset_diversity_index(
         u_hat = uncertainty / cap if cap > 0 else 0.0
     elif dataset.task_kind == "timeseries":
         series = dataset.features.ravel()
-        r = cfg.tolerance_scale * float(series.std())
-        if r <= 0:
-            r = 1e-12
         try:
-            uncertainty = sample_entropy(series, cfg.embedding_m, r)
+            uncertainty = sample_entropy(series, cfg.embedding_m, entropy_tolerance(series, cfg.tolerance_scale))
             u_hat = uncertainty / cfg.uncertainty_cap
         except NoTemplateMatchesError:
             uncertainty = math.inf
@@ -343,33 +347,24 @@ def _cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(1.0 - min(max(np.add.reduce(u * v) / (nu * nv), -1.0), 1.0))
 
 
-def model_diversity_index(
-    local: ModelParams,
-    global_model: ModelParams,
-    grouping: tuple,
-    weights: tuple = (0.7, 0.3),
-    redundancy_cap: float = 1.0,
-) -> float:
+def model_diversity_index(local: ModelParams, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> float:
     """Weighted blend of model movement and internal redundancy.
 
     index = w_div * cosine dissimilarity(local, global)
           + w_red * clamp(parameter_redundancy / redundancy_cap, 0, 1)
 
-    The round loop caps the indices of one round at their ``outlier_ceiling``
-    so single outliers cannot monopolize selection.
+    with the weights and cap of ``cfg``.  The round loop caps the indices of one
+    round at their ``outlier_ceiling`` so single outliers cannot monopolize selection.
     """
-    w_div, w_red = weights
-    require_simplex(w_div, w_red)
-    if redundancy_cap <= 0:
-        raise ValidationError("nonpositive_cap")
     if local.weights.shape != global_model.weights.shape:
         raise ShapeMismatchError(f"{local.weights.shape} vs {global_model.weights.shape}")
     dissim = _cosine_dissimilarity(local.weights, global_model.weights)
     red = parameter_redundancy(local, grouping)
-    return float(w_div * dissim + w_red * min(red / redundancy_cap, 1.0))
+    w_div, w_red = cfg.model_dissimilarity_weight, cfg.model_redundancy_weight
+    return float(w_div * dissim + w_red * min(red / cfg.redundancy_cap, 1.0))
 
 
-def outlier_ceiling(values: Sequence[float], percentile: float = 95.0) -> float:
+def outlier_ceiling(values: Sequence[float], percentile: float) -> float:
     """Ceiling below which reported indices are kept as-is: a percentile."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:

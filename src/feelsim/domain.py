@@ -31,6 +31,13 @@ def require_simplex(*weights: float) -> None:
         raise ValidationError("weights_not_simplex", f"{weights}")
 
 
+def require_finite(**values: float) -> None:
+    """Raise unless every named value is finite: ``inf`` and ``nan`` pass no range check."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError("not_finite", f"{name} = {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalDataset:
     """A device-local dataset: feature rows plus labels for classification."""
@@ -149,7 +156,6 @@ class ScheduleDecision:
 
     selected: tuple
     bandwidth_share: dict
-    predicted_completion: dict
     round_valid: bool
 
 

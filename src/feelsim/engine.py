@@ -32,6 +32,7 @@ from .domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
+    require_finite,
 )
 from .errors import ValidationError
 from .learning import TrainConfig, aggregate_fedavg, aggregate_loss_weighted, evaluate, init_model, local_train
@@ -67,6 +68,7 @@ class DataConfig:
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 1.0):
             raise ValidationError("test_fraction_out_of_range")
+        require_finite(class_sep=self.class_sep)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ class SimulationConfig:
             raise ValidationError("nonpositive_rounds")
         if self.qffl_q < 0:
             raise ValidationError("negative_q")
+        require_finite(qffl_q=self.qffl_q)
         if self.target_accuracy is not None and not (0.0 < self.target_accuracy <= 1.0):
             raise ValidationError("target_out_of_range")
         if self.master_seed < 0:
@@ -122,7 +125,6 @@ class SimulationState:
     test_set: LocalDataset
     dataset_profiles: dict
     round: int = 0
-    aborted: int = 0
     records: list = field(default_factory=list)
 
 
@@ -205,20 +207,11 @@ def _drain(dev: DeviceProfile, joules: float) -> float:
 def _model_indices(state: SimulationState, updates: dict) -> dict:
     """Each trained device's reported model-diversity index, capped at the round's outlier ceiling."""
     data = state.cfg.data
-    div = data.diversity
-    raw = {
-        did: model_diversity_index(
-            upd.params,
-            state.model,
-            (data.n_classes, data.dim + 1),
-            (div.model_dissimilarity_weight, div.model_redundancy_weight),
-            redundancy_cap=div.redundancy_cap,
-        )
-        for did, upd in updates.items()
-    }
+    grouping = (data.n_classes, data.dim + 1)
+    raw = {did: model_diversity_index(upd.params, state.model, grouping, data.diversity) for did, upd in updates.items()}
     if not raw:
         return {}
-    ceiling = outlier_ceiling(list(raw.values()), div.outlier_percentile)
+    ceiling = outlier_ceiling(list(raw.values()), data.diversity.outlier_percentile)
     return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in raw.items()}
 
 
@@ -282,8 +275,6 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
             state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)
         else:
             state.model = aggregate_fedavg(chosen)
-    else:
-        state.aborted += 1
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(
         round=state.round,
@@ -326,5 +317,5 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         rounds=tuple(state.records),
         final_model=state.model,
         rounds_to_target=rounds_to_target,
-        aborted_rounds=state.aborted,
+        aborted_rounds=sum(r.aborted for r in state.records),
     )

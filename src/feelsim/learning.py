@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LocalDataset, ModelParams
+from .domain import LocalDataset, ModelParams, require_finite
 from .errors import (
     DegenerateWeightsError,
     EmptyDatasetError,
@@ -43,6 +43,7 @@ class TrainConfig:
             raise ValidationError("negative_learning_rate")
         if self.l2_reg < 0:
             raise ValidationError("negative_l2_reg")
+        require_finite(learning_rate=self.learning_rate, l2_reg=self.l2_reg)
 
 
 @dataclass(frozen=True, eq=False)

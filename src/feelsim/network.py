@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile
+from .domain import ChannelState, DeviceProfile, require_finite
 from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 
 ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
@@ -35,6 +35,7 @@ class NetworkConfig:
             raise ValidationError("nonpositive_model_size")
         if self.allocation_strategy not in ALLOCATION_STRATEGIES:
             raise ValidationError("unknown_allocation_strategy", self.allocation_strategy)
+        require_finite(total_bandwidth=self.total_bandwidth, model_size_bits=self.model_size_bits)
 
 
 def channel_rate(channel: ChannelState, bandwidth: float) -> float:
@@ -64,11 +65,16 @@ def _spectral_efficiency(channel: ChannelState) -> float:
     return _log1p_snr(channel.snr_db) / math.log(2.0)
 
 
-def compute_time(device: DeviceProfile, n_samples: int, epochs: int) -> float:
-    """Seconds of local training: epochs * samples * cycles-per-sample / f."""
+def _cycles(device: DeviceProfile, n_samples: int, epochs: int) -> float:
+    """CPU cycles of local training: epochs * samples * cycles-per-sample."""
     if n_samples < 0 or epochs < 1:
         raise ValueError("need n_samples >= 0 and epochs >= 1")
-    return epochs * n_samples * device.cpu_cycles_per_sample / device.cpu_freq
+    return epochs * n_samples * device.cpu_cycles_per_sample
+
+
+def compute_time(device: DeviceProfile, n_samples: int, epochs: int) -> float:
+    """Seconds of local training: epochs * samples * cycles-per-sample / f."""
+    return _cycles(device, n_samples, epochs) / device.cpu_freq
 
 
 def expected_completion_time(
@@ -134,10 +140,8 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
 
 
 def energy_compute(device: DeviceProfile, n_samples: int, epochs: int) -> float:
-    """Joules burned by local training."""
-    if n_samples < 0 or epochs < 1:
-        raise ValueError("need n_samples >= 0 and epochs >= 1")
-    return epochs * n_samples * device.cpu_cycles_per_sample * device.energy_per_cycle
+    """Joules burned by local training: cycles times energy per cycle."""
+    return _cycles(device, n_samples, epochs) * device.energy_per_cycle
 
 
 def energy_transmit(device: DeviceProfile, comm_time: float) -> float:

@@ -8,7 +8,8 @@ samples than one mini-batch cannot contribute a meaningful update).
 Every policy picks k of ``filter_eligible``'s output and checks no deadline
 of its own: a device that finishes in time at the filter's share
 total_bandwidth / N also does at a selection's larger share
-total_bandwidth / k.  Policies:
+total_bandwidth / k; the engine records each participant's actual time.
+Policies:
 
 * ``schedule_pre_training``   - score eligible devices on reported data
   diversity, battery, and channel quality before any training happens.
@@ -101,34 +102,21 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _decision(chosen: list, constraints: ConstraintConfig, net: NetworkConfig, epochs: int) -> ScheduleDecision:
-    """Assemble a ScheduleDecision: allocate the band, predict completions."""
-    ids = tuple(d.id for d in chosen)
-    if not chosen:
-        return ScheduleDecision((), {}, {}, round_valid=len(ids) >= constraints.min_participants)
-    shares = allocate_bandwidth(chosen, net, epochs)
-    predicted = {}
-    for dev in chosen:
-        try:
-            predicted[dev.id] = expected_completion_time(dev, net, shares[dev.id], epochs)
-        except UnreachableDeviceError:
-            predicted[dev.id] = math.inf
-    assert sum(shares.values()) <= net.total_bandwidth * (1.0 + 1e-9)
-    return ScheduleDecision(ids, shares, predicted, len(ids) >= constraints.min_participants)
-
-
 def _top_k(
     eligible: list, k: int, rank: Callable[[], list], constraints: ConstraintConfig, net: NetworkConfig, epochs: int
 ) -> ScheduleDecision:
     """The selection path every policy shares.
 
     ``rank()`` orders the non-empty ``eligible`` list best first; it may stop
-    after k.  The first k get the band.
+    after k.  The first k get the band; the round is valid with at least
+    ``min_participants`` of them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = rank() if eligible else []
-    return _decision(order[:k], constraints, net, epochs)
+    chosen = rank()[:k] if eligible else []
+    shares = allocate_bandwidth(chosen, net, epochs) if chosen else {}
+    assert sum(shares.values()) <= net.total_bandwidth * (1.0 + 1e-9)
+    return ScheduleDecision(tuple(d.id for d in chosen), shares, len(chosen) >= constraints.min_participants)
 
 
 def schedule_pre_training(

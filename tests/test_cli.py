@@ -11,6 +11,7 @@ import pytest
 
 from feelsim.cli import _print_comparison, main, run_experiment
 from feelsim.config_io import ExperimentSpec, load_config, spec_with_overrides
+from feelsim.diversity import approximate_entropy, sample_entropy
 from feelsim.engine import SimulationConfig
 from feelsim.errors import ConfigError
 
@@ -215,6 +216,42 @@ def test_inf_parses(tmp_path):
     assert load_config(_write(tmp_path, text)).base.constraints.completion_threshold == math.inf
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("train", "learning_rate"),
+        ("train", "l2_reg"),
+        ("data", "class_sep"),
+        ("data", "alpha"),
+        ("network", "model_size_bits"),
+        ("network", "total_bandwidth"),
+        ("scheduler", "q"),
+        ("devices", "capacity_joules"),
+        ("devices", "mean_snr_db"),
+    ],
+)
+def test_inf_is_rejected_where_no_range_check_would_catch_it(tmp_path, capsys, section, key):
+    # inf parses (a completion threshold may be infinite), so each config must refuse it
+    cfg = _write(tmp_path, f"[{section}]\n{key} = inf\n[experiment]\nname = x\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "not_finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, value", [("yes", True), ("off", False)])
+def test_bool_key_parses(tmp_path, text, value):
+    cfg = _write(tmp_path, f"[scheduler]\nsize_priority_inverse = {text}\n[experiment]\nname = x\n")
+    assert load_config(cfg).base.size_priority_inverse is value
+
+
+def test_bad_bool_names_key_and_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "[experiment]\nname = x\n[scheduler]\nsize_priority_inverse = maybe\n")
+    with pytest.raises(ConfigError, match=r":4: bad value for 'size_priority_inverse'"):
+        load_config(cfg)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "exp.cfg:4: bad value" in capsys.readouterr().err
+
+
 def test_target_accuracy_none_parses(tmp_path):
     text = "[experiment]\nname = x\ntarget_accuracy = none\n"
     assert load_config(_write(tmp_path, text)).base.target_accuracy is None
@@ -260,6 +297,10 @@ def _table_rounds(capsys, reached, target_accuracy=0.8):
 def test_table_median_rounds_counts_missed_runs_past_the_budget(capsys):
     assert _table_rounds(capsys, [3, None, None]) == ">10"
     assert _table_rounds(capsys, [3, 4, None]) == "4"
+    # an even count takes the upper middle run: no average of a round and a miss
+    assert _table_rounds(capsys, [3, None]) == ">10"
+    assert _table_rounds(capsys, [3, 4, None, None]) == ">10"
+    assert _table_rounds(capsys, [5, 3, 4, 6]) == "5"
     assert _table_rounds(capsys, [3, 4], target_accuracy=None) == "-"
 
 
@@ -348,10 +389,21 @@ def test_measures_timeseries(tmp_path, capsys):
     path = tmp_path / "wave.csv"
     np.savetxt(path, series[:, None], delimiter=",")
     assert main(["measures", str(path), "--task", "timeseries"]) == 0
-    out = capsys.readouterr().out
-    assert "approximate_entropy" in out
-    assert "sample_entropy" in out
-    assert "diversity_index" in out
+    lines = capsys.readouterr().out.splitlines()
+    # the defaults are DiversityConfig's: m = 2 and r = 0.2 * std
+    r = 0.2 * float(series.std())
+    assert lines[1] == f"approximate_entropy = {approximate_entropy(series, 2, r):.9g}"
+    assert lines[2] == f"sample_entropy = {sample_entropy(series, 2, r):.9g}"
+    assert lines[3].startswith("diversity_index = ")
+
+
+def test_measures_timeseries_without_template_matches(tmp_path, capsys):
+    path = tmp_path / "noise.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal(40)[:, None], delimiter=",")
+    assert main(["measures", str(path), "--task", "timeseries", "--tolerance-scale", "1e-9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sample_entropy = inf  # no template matches: maximally irregular" in lines
+    assert f"diversity_index = {math.log1p(40):.9g}" in lines  # maximal irregularity: u_hat = 1
 
 
 def test_measures_bad_file(tmp_path, capsys):

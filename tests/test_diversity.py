@@ -15,6 +15,7 @@ from feelsim.diversity import (
     DiversityConfig,
     approximate_entropy,
     dataset_diversity_index,
+    entropy_tolerance,
     gini_simpson,
     mean_pairwise_dissimilarity,
     model_diversity_index,
@@ -295,6 +296,13 @@ def test_dataset_index_timeseries_no_matches_is_maximal():
     assert profile.diversity_index == pytest.approx(math.log(65), rel=1e-12)  # u_hat = 1
 
 
+def test_entropy_tolerance_scales_the_std_and_floors_a_flat_series():
+    series = np.sin(np.arange(50) / 3)
+    assert entropy_tolerance(series, 0.2) == 0.2 * float(series.std())
+    assert entropy_tolerance(np.ones(50), 0.2) == 1e-12
+    assert entropy_tolerance(series, 0.0) == 1e-12
+
+
 def test_dataset_index_constant_timeseries_is_zero_uncertainty():
     ds = LocalDataset("timeseries", np.ones(64)[:, None])
     profile = dataset_diversity_index(ds, DiversityConfig())
@@ -369,7 +377,7 @@ def test_model_diversity_index_blend_and_clamp():
     red = parameter_redundancy(local, (3, 4))
     cap = 2.0
     want = 0.7 * dissim + 0.3 * min(red / cap, 1.0)
-    got = model_diversity_index(local, ref, (3, 4), (0.7, 0.3), redundancy_cap=cap)
+    got = model_diversity_index(local, ref, (3, 4), DiversityConfig(redundancy_cap=cap))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -384,7 +392,8 @@ def test_model_diversity_index_is_bitwise_the_blend():
         ref = _params(rng.normal(size=size) * scale)
         local = _params(ref.weights + rng.normal(size=size) * scale * 10.0 ** rng.uniform(-9.0, 0.0))
         for weights, cap in (((0.7, 0.3), 1.0), ((0.25, 0.75), 0.05)):
-            got = model_diversity_index(local, ref, grouping, weights, redundancy_cap=cap)
+            cfg = DiversityConfig(model_dissimilarity_weight=weights[0], model_redundancy_weight=weights[1], redundancy_cap=cap)
+            got = model_diversity_index(local, ref, grouping, cfg)
             want = weights[0] * model_global_dissimilarity(local, ref, cosine) + weights[1] * min(
                 parameter_redundancy(local, grouping) / cap, 1.0
             )
@@ -392,27 +401,26 @@ def test_model_diversity_index_is_bitwise_the_blend():
 
 
 def test_model_diversity_index_keeps_its_checks():
-    p = _params(np.ones(6))
+    p, cfg = _params(np.ones(6)), DiversityConfig()
     with pytest.raises(UndefinedAngleError):
-        model_diversity_index(_params(np.zeros(6)), p, (2, 3))
+        model_diversity_index(_params(np.zeros(6)), p, (2, 3), cfg)
     with pytest.raises(UndefinedAngleError):
-        model_diversity_index(p, _params(np.zeros(6)), (2, 3))
+        model_diversity_index(p, _params(np.zeros(6)), (2, 3), cfg)
     with pytest.raises(ShapeMismatchError):
-        model_diversity_index(p, _params(np.ones(4)), (2, 3))
+        model_diversity_index(p, _params(np.ones(4)), (2, 3), cfg)
     with pytest.raises(ShapeMismatchError):
-        model_diversity_index(p, p, (4, 2))
-    with pytest.raises(ValidationError):
-        model_diversity_index(p, p, (2, 3), redundancy_cap=0.0)
+        model_diversity_index(p, p, (4, 2), cfg)
 
 
-def test_model_diversity_weights_must_be_simplex():
-    p = _params(np.ones(4))
-    with pytest.raises(ValidationError):
-        model_diversity_index(p, p, (2, 2), (0.7, 0.7))
+@pytest.mark.parametrize("cap", ["uncertainty_cap", "redundancy_cap"])
+def test_diversity_config_caps_must_be_positive(cap):
+    for value in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="nonpositive_cap"):
+            DiversityConfig(**{cap: value})
 
 
 def test_diversity_config_model_weights_must_be_simplex():
-    # a pre-mode run never calls model_diversity_index, so the config itself must refuse
+    # model_diversity_index takes its weights from the config, which alone checks them
     DiversityConfig(model_dissimilarity_weight=0.25, model_redundancy_weight=0.75)
     for weights in ((0.9, 0.3), (1.2, -0.2), (math.nan, 0.5), (math.nan, math.nan)):
         with pytest.raises(ValidationError, match="weights_not_simplex"):

@@ -54,7 +54,7 @@ def test_value_types_are_immutable():
         (dev.channel, "snr_db"),
         (DatasetProfile(richness=2, uncertainty=0.5, diversity_index=0.3), "diversity_index"),
         (DeviceReport(device_id=0, diversity_index=0.3, battery_level=0.5), "battery_level"),
-        (ScheduleDecision((0,), {0: 1.0}, {0: 2.0}, round_valid=True), "selected"),
+        (ScheduleDecision((0,), {0: 1.0}, round_valid=True), "selected"),
         (RoundRecord(0, 1.0, 2.0, (0,), 0.5, 1.0, 1.0), "total_energy_j"),
     ]
     for value, name in values:
