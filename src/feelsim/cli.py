@@ -100,8 +100,8 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     "rounds_to_target": result.rounds_to_target,
                     "total_time_s": sum(r.duration_s for r in records),
                     "total_energy_j": sum(r.total_energy_j for r in records),
-                    "final_accuracy": records[-1].global_accuracy if records else 0.0,
-                    "mean_jain": sum(r.jain_fairness for r in records) / len(records) if records else 1.0,
+                    "final_accuracy": records[-1].global_accuracy,
+                    "mean_jain": sum(r.jain_fairness for r in records) / len(records),
                 }
             )
 

@@ -11,7 +11,7 @@ own rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class PartitionSpec:
             raise ValidationError("nonpositive_min_size")
         if not (0.0 <= self.redundancy_factor < 1.0):
             raise ValidationError("redundancy_out_of_range", f"{self.redundancy_factor}")
-        require_finite(alpha=self.alpha)
+        require_finite(alpha=self.alpha, size_sigma=self.size_sigma, power_exponent=self.power_exponent)
 
 
 def make_classification_pool(
@@ -175,9 +175,7 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
             rows = np.concatenate([kept, copies])
             rng.shuffle(rows)
 
-        datasets.append(
-            LocalDataset("classification", pool.features[rows], pool.labels[rows], size)
-        )
+        datasets.append(LocalDataset("classification", pool.features[rows], pool.labels[rows]))
     return datasets
 
 
@@ -242,11 +240,13 @@ class FleetSpec:
             raise ValidationError("negative_tx_power", f"tx_power_min {self.tx_power_min}")
         if not (0 < self.battery_min and self.battery_max <= 1.0):
             raise ValidationError("battery_out_of_range")
-        if self.energy_per_cycle < 0 or self.capacity_joules <= 0:
+        if self.energy_per_cycle < 0:
+            raise ValidationError("negative_energy_per_cycle", f"{self.energy_per_cycle}")
+        if self.capacity_joules <= 0:
             raise ValidationError("nonpositive_capacity")
         if self.snr_spread_db < 0 or self.std_snr_db < 0:
             raise ValidationError("negative_snr_std")
-        require_finite(capacity_joules=self.capacity_joules, mean_snr_db=self.mean_snr_db)
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_devices"})
 
 
 def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:

@@ -282,11 +282,7 @@ def dataset_diversity_index(
         uncertainty = mean_pairwise_dissimilarity(dataset.features, cfg.metric, cfg.sample_size, seed)
         u_hat = uncertainty / cfg.uncertainty_cap
     u_hat = min(max(u_hat, 0.0), 1.0)
-    return DatasetProfile(
-        richness=n,
-        uncertainty=float(uncertainty),
-        diversity_index=u_hat * math.log1p(n),
-    )
+    return DatasetProfile(uncertainty=float(uncertainty), diversity_index=u_hat * math.log1p(n))
 
 
 # --------------------------------------------------------------------------

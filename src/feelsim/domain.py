@@ -3,14 +3,16 @@
 Every type but DeviceProfile is frozen; arrays are copied on construction and
 marked read-only, so instances are shared across rounds without copying.  The
 engine updates a DeviceProfile's ``battery_level``, ``channel``,
-``participation_count`` and ``last_participation_round`` in place.
+``participation_count`` and ``last_participation_round`` in place.  Each fact
+is stored once: a dataset's sample count is read off its features, and a
+round record is aborted exactly when it has no participants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +47,7 @@ class LocalDataset:
     task_kind: str
     features: np.ndarray
     labels: Optional[np.ndarray] = None
-    n_samples: int = -1
+    n_samples: int = field(init=False)
 
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
@@ -55,10 +57,7 @@ class LocalDataset:
             raise ValidationError("features_not_matrix", f"ndim={feats.ndim}")
         object.__setattr__(self, "features", feats)
         n = feats.shape[0]
-        if self.n_samples == -1:
-            object.__setattr__(self, "n_samples", n)
-        elif self.n_samples != n:
-            raise ValidationError("sample_count_mismatch", f"{self.n_samples} != {n}")
+        object.__setattr__(self, "n_samples", n)
         if self.task_kind == "classification":
             if self.labels is None:
                 raise ValidationError("missing_labels")
@@ -110,15 +109,9 @@ class DeviceProfile:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Flat parameter vector with provenance metadata.
-
-    ``round`` is the model version (number of aggregations applied);
-    ``source`` is the producing device id, or ``"server"`` for global models.
-    """
+    """A model's flat parameter vector, copied and read-only."""
 
     weights: np.ndarray
-    round: int = 0
-    source: Union[int, str] = "server"
 
     def __post_init__(self):
         w = _frozen_array(self.weights, float)
@@ -129,9 +122,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DatasetProfile:
-    """Device-side summary of a local dataset: richness and uncertainty."""
+    """Device-side summary of a local dataset: its uncertainty and the diversity index built from it."""
 
-    richness: int
     uncertainty: float
     diversity_index: float
 
@@ -170,9 +162,13 @@ class RoundRecord:
     global_accuracy: float
     global_loss: float
     jain_fairness: float
-    aborted: bool = False
     device_times: dict = field(default_factory=dict)
     device_energy: dict = field(default_factory=dict)
+
+    @property
+    def aborted(self) -> bool:
+        """A round aborts when no device uploads."""
+        return not self.participants
 
 
 def validate_profile(profile: DeviceProfile) -> None:

@@ -124,8 +124,12 @@ class SimulationState:
     train_pool: LocalDataset
     test_set: LocalDataset
     dataset_profiles: dict
-    round: int = 0
     records: list = field(default_factory=list)
+
+    @property
+    def round(self) -> int:
+        """The index of the next round: one per record."""
+        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,10 @@ class SimulationResult:
     rounds: tuple
     final_model: ModelParams
     rounds_to_target: Optional[int]
-    aborted_rounds: int
+
+    @property
+    def aborted_rounds(self) -> int:
+        return sum(r.aborted for r in self.rounds)
 
 
 def build_state(cfg: SimulationConfig) -> SimulationState:
@@ -284,12 +291,10 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         global_accuracy=accuracy,
         global_loss=loss,
         jain_fairness=jain_fairness({did: d.participation_count for did, d in state.devices.items()}),
-        aborted=not participants,
         device_times=times,
         device_energy=energies,
     )
     state.records.append(record)
-    state.round += 1
     return record
 
 
@@ -317,5 +322,4 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         rounds=tuple(state.records),
         final_model=state.model,
         rounds_to_target=rounds_to_target,
-        aborted_rounds=sum(r.aborted for r in state.records),
     )

@@ -64,7 +64,7 @@ def init_model(dim: int, n_classes: int, seed: int) -> ModelParams:
     scale = 1.0 / math.sqrt(dim)
     w = rng.uniform(-scale, scale, size=(n_classes, dim))
     flat = np.hstack([w, np.zeros((n_classes, 1))]).ravel()
-    return ModelParams(flat, round=0, source="server")
+    return ModelParams(flat)
 
 
 def _unpack(weights: np.ndarray, dim: int):
@@ -160,8 +160,7 @@ def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device
             w -= flat_grad
     logits, _, z = _softmax(features, w_mat, bias)
     final_loss = _penalized(_cross_entropy(logits, z, labels), 0.0, w_mat)
-    params = ModelParams(w, round=model.round + 1, source=device_id)
-    return Update(params=params, n_samples=n, final_loss=final_loss, device_id=device_id)
+    return Update(params=ModelParams(w), n_samples=n, final_loss=final_loss, device_id=device_id)
 
 
 def evaluate(model: ModelParams, test: LocalDataset):
@@ -203,4 +202,4 @@ def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
     acc = np.zeros(length)
     for weight, u in zip(raw / total, ordered):
         acc += weight * u.params.weights
-    return ModelParams(acc, round=max(u.params.round for u in ordered), source="server")
+    return ModelParams(acc)

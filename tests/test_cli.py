@@ -223,11 +223,19 @@ def test_inf_parses(tmp_path):
         ("train", "l2_reg"),
         ("data", "class_sep"),
         ("data", "alpha"),
+        ("data", "size_sigma"),
+        ("data", "power_exponent"),
         ("network", "model_size_bits"),
         ("network", "total_bandwidth"),
         ("scheduler", "q"),
         ("devices", "capacity_joules"),
         ("devices", "mean_snr_db"),
+        ("devices", "tx_power_max"),
+        ("devices", "cpu_freq_max"),
+        ("devices", "cycles_per_sample_max"),
+        ("devices", "energy_per_cycle"),
+        ("devices", "snr_spread_db"),
+        ("devices", "std_snr_db"),
     ],
 )
 def test_inf_is_rejected_where_no_range_check_would_catch_it(tmp_path, capsys, section, key):

@@ -198,6 +198,12 @@ def test_fleet_spec_rejects_negative_tx_power():
         FleetSpec(tx_power_min=-0.5)
 
 
+def test_fleet_spec_rejects_negative_energy_per_cycle():
+    FleetSpec(energy_per_cycle=0.0)  # free compute is allowed
+    with pytest.raises(ValidationError, match="negative_energy_per_cycle"):
+        FleetSpec(energy_per_cycle=-1e-9)
+
+
 def test_fleet_device_streams_are_independent():
     datasets = [_uniform_pool(n=10, n_classes=2) for _ in range(6)]
     small = make_fleet(FleetSpec(n_devices=3), datasets[:3], master_seed=0)

@@ -247,7 +247,6 @@ def test_dataset_index_balanced_composition():
     labels = np.repeat(np.arange(4), 25)
     ds = LocalDataset("classification", np.zeros((100, 2)), labels)
     profile = dataset_diversity_index(ds, DiversityConfig(), n_classes=4)
-    assert profile.richness == 100
     assert profile.uncertainty == pytest.approx(math.log(4), rel=1e-12)
     assert profile.diversity_index == pytest.approx(math.log(101), rel=1e-12)
 

@@ -17,6 +17,7 @@ from feelsim.domain import (
     ScheduleDecision,
     validate_profile,
 )
+from feelsim.engine import SimulationResult, SimulationState
 from feelsim.errors import ValidationError
 
 from conftest import make_device
@@ -52,7 +53,7 @@ def test_value_types_are_immutable():
         dev.dataset.features[0, 0] = 99.0  # arrays are read-only
     values = [
         (dev.channel, "snr_db"),
-        (DatasetProfile(richness=2, uncertainty=0.5, diversity_index=0.3), "diversity_index"),
+        (DatasetProfile(uncertainty=0.5, diversity_index=0.3), "diversity_index"),
         (DeviceReport(device_id=0, diversity_index=0.3, battery_level=0.5), "battery_level"),
         (ScheduleDecision((0,), {0: 1.0}, round_valid=True), "selected"),
         (RoundRecord(0, 1.0, 2.0, (0,), 0.5, 1.0, 1.0), "total_energy_j"),
@@ -60,6 +61,32 @@ def test_value_types_are_immutable():
     for value, name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, None)
+
+
+def test_abort_is_read_off_the_participants():
+    aborted = RoundRecord(0, 0.0, 0.0, (), 0.5, 1.0, 1.0)
+    completed = RoundRecord(1, 1.0, 2.0, (0,), 0.5, 1.0, 1.0)
+    assert aborted.aborted is True and completed.aborted is False
+    result = SimulationResult(rounds=(aborted, completed), final_model=ModelParams(np.zeros(2)), rounds_to_target=None)
+    assert result.aborted_rounds == 1
+
+
+def test_derived_facts_cannot_be_set():
+    features, labels = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    constructors = [
+        lambda: RoundRecord(0, 0.0, 0.0, (), 0.5, 1.0, 1.0, aborted=False),
+        lambda: SimulationResult(rounds=(), final_model=ModelParams(np.zeros(2)), rounds_to_target=None, aborted_rounds=0),
+        lambda: LocalDataset("classification", features, labels, n_samples=4),
+        lambda: DatasetProfile(richness=4, uncertainty=0.5, diversity_index=0.3),
+        lambda: ModelParams(np.zeros(2), round=1, source="server"),
+    ]
+    for construct in constructors:
+        with pytest.raises(TypeError):
+            construct()
+    state = SimulationState(None, {}, ModelParams(np.zeros(2)), None, None, {})
+    assert state.round == 0
+    with pytest.raises(AttributeError):
+        state.round = 3
 
 
 def test_local_dataset_counts_rows():
