@@ -23,7 +23,6 @@ from .domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
-    validate_profile,
 )
 from .engine import AGGREGATIONS, POLICIES, DataConfig, SimulationConfig, SimulationResult, run_simulation
 from .learning import TrainConfig, Update, aggregate_fedavg, aggregate_loss_weighted, evaluate, init_model, local_train

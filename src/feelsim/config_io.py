@@ -5,9 +5,11 @@ comments.  Unknown sections or keys are hard errors that name the offending
 line, so a typo cannot silently fall back to a default.
 
 Each key sets one field of a config dataclass (see ``SCHEMA``) and is parsed
-by that field's type annotation; a float takes ``inf`` but not ``nan``, which
-would pass every range check.  A key missing from the file keeps the
-dataclass default; defaults live only there:
+by that field's type annotation.  A float parses ``inf`` but not ``nan``;
+each dataclass then refuses ``inf`` in every float field but
+``completion_threshold`` and ``min_snr_db`` (``domain.require_finite``).  A
+key missing from the file keeps the dataclass default; defaults live only
+there:
 
     [devices]      FleetSpec
     [data]         DataConfig, PartitionSpec, DiversityConfig (measure);

@@ -11,12 +11,12 @@ own rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, LocalDataset, require_finite, validate_profile
+from .domain import ChannelState, DeviceProfile, LocalDataset, require_finite
 from .errors import InsufficientPoolError, ValidationError
 
 SKEW_KINDS = ("iid", "dirichlet")
@@ -54,7 +54,7 @@ class PartitionSpec:
             raise ValidationError("nonpositive_min_size")
         if not (0.0 <= self.redundancy_factor < 1.0):
             raise ValidationError("redundancy_out_of_range", f"{self.redundancy_factor}")
-        require_finite(alpha=self.alpha, size_sigma=self.size_sigma, power_exponent=self.power_exponent)
+        require_finite(self)
 
 
 def make_classification_pool(
@@ -238,7 +238,7 @@ class FleetSpec:
                 raise ValidationError(f"inverted_{name}_range")
         if self.tx_power_min < 0:
             raise ValidationError("negative_tx_power", f"tx_power_min {self.tx_power_min}")
-        if not (0 < self.battery_min and self.battery_max <= 1.0):
+        if self.battery_max > 1.0:
             raise ValidationError("battery_out_of_range")
         if self.energy_per_cycle < 0:
             raise ValidationError("negative_energy_per_cycle", f"{self.energy_per_cycle}")
@@ -246,7 +246,7 @@ class FleetSpec:
             raise ValidationError("nonpositive_capacity")
         if self.snr_spread_db < 0 or self.std_snr_db < 0:
             raise ValidationError("negative_snr_std")
-        require_finite(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_devices"})
+        require_finite(self)
 
 
 def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
@@ -274,6 +274,5 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
             channel=ChannelState(snr_db=float(mean_snr), mean_snr_db=float(mean_snr), std_snr_db=spec.std_snr_db),
             dataset=dataset,
         )
-        validate_profile(profile)
         fleet.append(profile)
     return fleet

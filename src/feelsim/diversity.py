@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import DatasetProfile, LocalDataset, ModelParams, require_simplex
+from .domain import DatasetProfile, LocalDataset, ModelParams, require_finite, require_simplex
 from .errors import (
     EmptyDatasetError,
     NoTemplateMatchesError,
@@ -171,6 +171,7 @@ class DissimilarityMetric:
                 raise ValidationError("sigma_required", "heat_kernel needs sigma > 0")
         elif self.sigma is not None:
             raise ValidationError("sigma_forbidden", f"{self.kind} takes no sigma")
+        require_finite(self)
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: DissimilarityMetric) -> np.ndarray:
@@ -238,6 +239,7 @@ class DiversityConfig:
         if not (0 < self.outlier_percentile <= 100):
             raise ValidationError("percentile_out_of_range")
         require_simplex(self.model_dissimilarity_weight, self.model_redundancy_weight)
+        require_finite(self)
 
 
 def dataset_diversity_index(

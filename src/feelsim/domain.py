@@ -33,10 +33,15 @@ def require_simplex(*weights: float) -> None:
         raise ValidationError("weights_not_simplex", f"{weights}")
 
 
-def require_finite(**values: float) -> None:
-    """Raise unless every named value is finite: ``inf`` and ``nan`` pass no range check."""
-    for name, value in values.items():
-        if not math.isfinite(value):
+def require_finite(config, *unbounded: str) -> None:
+    """Raise unless every float field of a config dataclass is finite.
+
+    ``inf`` and ``nan`` pass a ``<= 0`` range check, so this one rule refuses
+    both, except ``inf`` in the fields named in ``unbounded``; ints and
+    ``None`` are skipped.
+    """
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value) and (name not in unbounded or math.isnan(value)):
             raise ValidationError("not_finite", f"{name} = {value}")
 
 
@@ -170,23 +175,3 @@ class RoundRecord:
         """A round aborts when no device uploads."""
         return not self.participants
 
-
-def validate_profile(profile: DeviceProfile) -> None:
-    """Check every DeviceProfile invariant; raise on the first violation.
-
-    The raised ValidationError names the violated invariant in its ``code``.
-    """
-    if not (0.0 <= profile.battery_level <= 1.0) or math.isnan(profile.battery_level):
-        raise ValidationError("battery_out_of_range", f"{profile.battery_level}")
-    if not profile.cpu_freq > 0:
-        raise ValidationError("nonpositive_frequency", f"{profile.cpu_freq}")
-    if not profile.cpu_cycles_per_sample > 0:
-        raise ValidationError("nonpositive_cycles", f"{profile.cpu_cycles_per_sample}")
-    if profile.tx_power < 0:
-        raise ValidationError("negative_tx_power", f"{profile.tx_power}")
-    if profile.energy_per_cycle < 0:
-        raise ValidationError("negative_energy_per_cycle", f"{profile.energy_per_cycle}")
-    if not profile.capacity_joules > 0:
-        raise ValidationError("nonpositive_capacity", f"{profile.capacity_joules}")
-    if profile.participation_count < 0:
-        raise ValidationError("negative_participation")

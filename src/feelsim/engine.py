@@ -66,9 +66,17 @@ class DataConfig:
     diversity: DiversityConfig = field(default_factory=DiversityConfig)
 
     def __post_init__(self):
+        if self.n_classes < 2:
+            raise ValidationError("too_few_classes", f"n_classes {self.n_classes}")
+        if self.dim < 1:
+            raise ValidationError("nonpositive_dim")
+        if self.samples_per_class < 1:
+            raise ValidationError("nonpositive_samples_per_class")
+        if self.class_sep < 0:
+            raise ValidationError("negative_class_sep")
         if not (0.0 < self.test_fraction < 1.0):
             raise ValidationError("test_fraction_out_of_range")
-        require_finite(class_sep=self.class_sep)
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class SimulationConfig:
             raise ValidationError("nonpositive_rounds")
         if self.qffl_q < 0:
             raise ValidationError("negative_q")
-        require_finite(qffl_q=self.qffl_q)
+        require_finite(self)
         if self.target_accuracy is not None and not (0.0 < self.target_accuracy <= 1.0):
             raise ValidationError("target_out_of_range")
         if self.master_seed < 0:

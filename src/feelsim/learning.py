@@ -43,7 +43,7 @@ class TrainConfig:
             raise ValidationError("negative_learning_rate")
         if self.l2_reg < 0:
             raise ValidationError("negative_l2_reg")
-        require_finite(learning_rate=self.learning_rate, l2_reg=self.l2_reg)
+        require_finite(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ class NetworkConfig:
             raise ValidationError("nonpositive_model_size")
         if self.allocation_strategy not in ALLOCATION_STRATEGIES:
             raise ValidationError("unknown_allocation_strategy", self.allocation_strategy)
-        require_finite(total_bandwidth=self.total_bandwidth, model_size_bits=self.model_size_bits)
+        require_finite(self)
 
 
 def channel_rate(channel: ChannelState, bandwidth: float) -> float:

@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .domain import DeviceProfile, ScheduleDecision, require_simplex
+from .domain import DeviceProfile, ScheduleDecision, require_finite, require_simplex
 from .errors import DegenerateWeightsError, UnreachableDeviceError, ValidationError
 from .network import NetworkConfig, allocate_bandwidth, expected_completion_time
 
@@ -54,6 +54,7 @@ class ConstraintConfig:
             raise ValidationError("nonpositive_participants")
         if self.min_data_size < 0:
             raise ValidationError("negative_data_size")
+        require_finite(self, "min_snr_db", "completion_threshold")
 
 
 @dataclass(frozen=True)

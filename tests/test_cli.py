@@ -212,8 +212,9 @@ def test_nan_is_a_bad_value(tmp_path, capsys, section, key):
 
 
 def test_inf_parses(tmp_path):
-    text = "[constraints]\ncompletion_threshold = inf\n[experiment]\nname = x\n"
-    assert load_config(_write(tmp_path, text)).base.constraints.completion_threshold == math.inf
+    text = "[constraints]\ncompletion_threshold = inf\nmin_snr_db = -inf\n[experiment]\nname = x\n"
+    constraints = load_config(_write(tmp_path, text)).base.constraints
+    assert (constraints.completion_threshold, constraints.min_snr_db) == (math.inf, -math.inf)
 
 
 @pytest.mark.parametrize(
@@ -228,6 +229,7 @@ def test_inf_parses(tmp_path):
         ("network", "model_size_bits"),
         ("network", "total_bandwidth"),
         ("scheduler", "q"),
+        ("scheduler", "redundancy_cap"),
         ("devices", "capacity_joules"),
         ("devices", "mean_snr_db"),
         ("devices", "tx_power_max"),
@@ -243,6 +245,24 @@ def test_inf_is_rejected_where_no_range_check_would_catch_it(tmp_path, capsys, s
     cfg = _write(tmp_path, f"[{section}]\n{key} = inf\n[experiment]\nname = x\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "not_finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("n_classes = 1", "too_few_classes"),
+        ("dim = 0", "nonpositive_dim"),
+        ("samples_per_class = 0", "nonpositive_samples_per_class"),
+        ("class_sep = -1", "negative_class_sep"),
+    ],
+    ids=["n_classes", "dim", "samples_per_class", "class_sep"],
+)
+def test_pool_that_cannot_be_built_is_a_config_error(tmp_path, capsys, line, code):
+    # refused on load, not by a traceback from make_classification_pool after the output directory exists
+    cfg = _write(tmp_path, f"[data]\n{line}\n[experiment]\nname = x\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert code in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -425,8 +445,10 @@ def test_measures_bad_file(tmp_path, capsys):
         ([[1.0], [2.0], [3.0]], ["--task", "timeseries"], "series_too_short"),
         ([[0.1, 1], [0.2, -1], [0.3, 0]], ["--task", "classification"], "negative_label"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--embedding-m", "0"], "embedding dimension"),
+        ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "inf"], "not_finite"),
+        ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "nan"], "not_finite"),
     ],
-    ids=["short_series", "negative_label", "zero_embedding"],
+    ids=["short_series", "negative_label", "zero_embedding", "inf_tolerance", "nan_tolerance"],
 )
 def test_measures_undefined_input_is_an_error_not_a_traceback(tmp_path, capsys, rows, args, message):
     path = tmp_path / "data.csv"

@@ -16,7 +16,7 @@ from feelsim.datagen import (
     partition,
 )
 from feelsim.diversity import sample_entropy, shannon_entropy
-from feelsim.domain import LocalDataset, validate_profile
+from feelsim.domain import LocalDataset
 from feelsim.errors import InsufficientPoolError, ValidationError
 from feelsim.learning import TrainConfig, evaluate, init_model, local_train
 
@@ -182,14 +182,25 @@ def test_constant_series_is_constant():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_fleet_profiles_always_validate(seed):
-    spec = FleetSpec(n_devices=5)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1e-6, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+def test_fleet_profiles_always_validate(seed, battery_min, tx_power_min):
+    # FleetSpec bounds every value make_fleet draws or copies, so no profile needs re-checking
+    spec = FleetSpec(n_devices=5, battery_min=battery_min, tx_power_min=tx_power_min, tx_power_max=2.0)
     datasets = [_uniform_pool(n=10, n_classes=2) for _ in range(5)]
     fleet = make_fleet(spec, datasets, seed)
-    for dev in fleet:
-        validate_profile(dev)
     assert [d.id for d in fleet] == [0, 1, 2, 3, 4]
+    for dev in fleet:
+        assert 0 < spec.battery_min <= dev.battery_level <= spec.battery_max <= 1
+        assert 0 < spec.cpu_freq_min <= dev.cpu_freq <= spec.cpu_freq_max
+        assert 0 < spec.cycles_per_sample_min <= dev.cpu_cycles_per_sample <= spec.cycles_per_sample_max
+        assert 0 <= spec.tx_power_min <= dev.tx_power <= spec.tx_power_max
+        assert (dev.energy_per_cycle, dev.capacity_joules) == (spec.energy_per_cycle, spec.capacity_joules)
+        assert dev.channel.std_snr_db == spec.std_snr_db
+        assert dev.participation_count == 0 and dev.last_participation_round is None
 
 
 def test_fleet_spec_rejects_negative_tx_power():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from feelsim.diversity import DissimilarityMetric, DiversityConfig
 from feelsim.domain import (
     ChannelState,
     DatasetProfile,
@@ -15,35 +17,12 @@ from feelsim.domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
-    validate_profile,
 )
 from feelsim.engine import SimulationResult, SimulationState
 from feelsim.errors import ValidationError
+from feelsim.scheduler import ConstraintConfig
 
 from conftest import make_device
-
-
-def test_validate_profile_ok():
-    assert validate_profile(make_device(battery=0.5, cpu_freq=1e9)) is None
-
-
-def test_validate_profile_battery_out_of_range():
-    with pytest.raises(ValidationError) as err:
-        validate_profile(make_device(battery=1.2))
-    assert err.value.code == "battery_out_of_range"
-
-
-def test_validate_profile_nonpositive_frequency():
-    with pytest.raises(ValidationError) as err:
-        validate_profile(make_device(cpu_freq=0.0))
-    assert err.value.code == "nonpositive_frequency"
-
-
-def test_validate_profile_reports_first_violation():
-    # battery is checked before frequency
-    with pytest.raises(ValidationError) as err:
-        validate_profile(make_device(battery=-0.1, cpu_freq=-1.0))
-    assert err.value.code == "battery_out_of_range"
 
 
 def test_value_types_are_immutable():
@@ -87,6 +66,24 @@ def test_derived_facts_cannot_be_set():
     assert state.round == 0
     with pytest.raises(AttributeError):
         state.round = 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiversityConfig(uncertainty_cap=math.inf),
+        lambda: DiversityConfig(tolerance_scale=math.inf),
+        lambda: DissimilarityMetric("heat_kernel", sigma=math.inf),
+        lambda: ConstraintConfig(completion_threshold=math.nan),
+        lambda: ConstraintConfig(min_snr_db=math.nan),
+    ],
+    ids=["uncertainty_cap", "tolerance_scale", "sigma", "nan_completion_threshold", "nan_min_snr_db"],
+)
+def test_config_floats_must_be_finite(build):
+    # inf and nan pass a <= 0 check; only the two unbounded constraints may be infinite, and never nan
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == "not_finite"
 
 
 def test_local_dataset_counts_rows():
