@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config_io import ExperimentSpec, load_config, spec_with_overrides
+from .config_io import PARSERS, ExperimentSpec, load_config, spec_with_overrides
 from .diversity import (
     DiversityConfig,
     approximate_entropy,
@@ -49,29 +49,20 @@ SUMMARY_HEADER = ["scheduler", "seed", "rounds_to_target", "total_time_s", "tota
 
 
 def _fmt(value) -> str:
-    """Floats with 9 significant digits; everything else verbatim."""
+    """One CSV cell: floats with 9 significant digits, ``None`` (a missed target) empty, anything else verbatim."""
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
 
 
-def _write_rounds_csv(path: Path, result) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write the header, then each row of raw values in header order, one ``_fmt`` cell each."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROUNDS_HEADER)
-        for rec in result.rounds:
-            writer.writerow(
-                [
-                    rec.round,
-                    _fmt(rec.duration_s),
-                    _fmt(rec.total_energy_j),
-                    len(rec.participants),
-                    _fmt(rec.global_accuracy),
-                    _fmt(rec.global_loss),
-                    _fmt(rec.jain_fairness),
-                    int(rec.aborted),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -91,8 +82,12 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 continue
             run_dir = out_root / scheduler / f"seed_{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            _write_rounds_csv(run_dir / "rounds.csv", result)
             records = result.rounds
+            rows = (
+                [r.round, r.duration_s, r.total_energy_j, len(r.participants), r.global_accuracy, r.global_loss, r.jain_fairness, int(r.aborted)]
+                for r in records
+            )
+            _write_csv(run_dir / "rounds.csv", ROUNDS_HEADER, rows)
             summary_rows.append(
                 {
                     "scheduler": scheduler,
@@ -105,22 +100,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
                 }
             )
 
-    with open(out_root / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for row in summary_rows:
-            writer.writerow(
-                [
-                    row["scheduler"],
-                    row["seed"],
-                    "" if row["rounds_to_target"] is None else row["rounds_to_target"],
-                    _fmt(row["total_time_s"]),
-                    _fmt(row["total_energy_j"]),
-                    _fmt(row["final_accuracy"]),
-                    _fmt(row["mean_jain"]),
-                ]
-            )
-
+    _write_csv(out_root / "summary.csv", SUMMARY_HEADER, ([row[key] for key in SUMMARY_HEADER] for row in summary_rows))
     _print_comparison(spec, summary_rows)
     return 0 if failures == 0 else 1
 
@@ -173,7 +153,10 @@ def _measure_lines(data: np.ndarray, task: str, embedding_m: int, tolerance_scal
         raise ValueError("need at least two rows")
     cfg = DiversityConfig(embedding_m=embedding_m, tolerance_scale=tolerance_scale)
     if task == "classification":
-        labels = data[:, -1].astype(np.int64)
+        labels = data[:, -1]
+        if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+            raise ValueError("class labels must be whole numbers")
+        labels = labels.astype(np.int64)
         features = data[:, :-1] if data.shape[1] > 1 else data
         dataset = LocalDataset("classification", features, labels)
         k = int(labels.max()) + 1
@@ -228,7 +211,7 @@ def main(argv=None) -> int:
         return run_measures(args.csv, args.task, args.embedding_m, args.tolerance_scale)
     try:
         spec = load_config(args.config)
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+        seeds = PARSERS[list[int]](args.seeds) if args.seeds else None
         spec = spec_with_overrides(spec, out_dir=args.out, seeds=seeds, schedulers=args.scheduler)
     except (FeelsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

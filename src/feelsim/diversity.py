@@ -236,6 +236,8 @@ class DiversityConfig:
             raise ValidationError("unknown_measure", self.classification_measure)
         if self.uncertainty_cap <= 0 or self.redundancy_cap <= 0:
             raise ValidationError("nonpositive_cap")
+        if self.tolerance_scale <= 0:
+            raise ValidationError("nonpositive_tolerance_scale")
         if not (0 < self.outlier_percentile <= 100):
             raise ValidationError("percentile_out_of_range")
         require_simplex(self.model_dissimilarity_weight, self.model_redundancy_weight)

@@ -4,8 +4,9 @@ Every type but DeviceProfile is frozen; arrays are copied on construction and
 marked read-only, so instances are shared across rounds without copying.  The
 engine updates a DeviceProfile's ``battery_level``, ``channel``,
 ``participation_count`` and ``last_participation_round`` in place.  Each fact
-is stored once: a dataset's sample count is read off its features, and a
-round record is aborted exactly when it has no participants.
+is stored once: a dataset's sample count is read off its features, a round
+record is aborted exactly when it has no participants, and its duration and
+energy are read off its per-device ledgers.
 """
 
 from __future__ import annotations
@@ -161,17 +162,25 @@ class RoundRecord:
     """Everything logged about one communication round."""
 
     round: int
-    duration_s: float
-    total_energy_j: float
     participants: tuple
     global_accuracy: float
     global_loss: float
     jain_fairness: float
-    device_times: dict = field(default_factory=dict)
-    device_energy: dict = field(default_factory=dict)
+    device_times: dict
+    device_energy: dict
 
     @property
     def aborted(self) -> bool:
         """A round aborts when no device uploads."""
         return not self.participants
+
+    @property
+    def duration_s(self) -> float:
+        """A round lasts as long as its slowest device."""
+        return max(self.device_times.values(), default=0.0)
+
+    @property
+    def total_energy_j(self) -> float:
+        """The energy every device paid this round, compute and upload."""
+        return sum(self.device_energy.values())
 

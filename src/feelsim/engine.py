@@ -114,10 +114,6 @@ class SimulationConfig:
             raise ValidationError("negative_seed", f"master_seed {self.master_seed}")
 
     @property
-    def n_devices(self) -> int:
-        return self.fleet.n_devices
-
-    @property
     def mode(self) -> str:
         return "post_training" if self.policy == "diversity_post" else "pre_training"
 
@@ -293,8 +289,6 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(
         round=state.round,
-        duration_s=max(times.values(), default=0.0),
-        total_energy_j=sum(energies.values()),
         participants=participants,
         global_accuracy=accuracy,
         global_loss=loss,

@@ -64,7 +64,7 @@ def test_minimal_config_gets_all_defaults(tmp_path):
     assert spec.name == "demo"
     assert spec.seeds == [0]
     assert spec.schedulers == ["diversity_pre"]
-    assert spec.base.n_devices == 20
+    assert spec.base.fleet.n_devices == 20
     assert spec.base.k_per_round == 10
     assert spec.base.network.total_bandwidth == 1e6
     assert spec.base.constraints.completion_threshold == math.inf
@@ -447,8 +447,20 @@ def test_measures_bad_file(tmp_path, capsys):
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--embedding-m", "0"], "embedding dimension"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "inf"], "not_finite"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "nan"], "not_finite"),
+        ([[np.sin(t / 4)] for t in range(200)], ["--task", "timeseries", "--tolerance-scale=0"], "nonpositive_tolerance_scale"),
+        ([[np.sin(t / 4)] for t in range(200)], ["--task", "timeseries", "--tolerance-scale=-0.2"], "nonpositive_tolerance_scale"),
+        ([[0.1, 0.5], [0.2, 1.5], [0.3, 1.9], [0.4, 0.2]], ["--task", "classification"], "whole numbers"),
     ],
-    ids=["short_series", "negative_label", "zero_embedding", "inf_tolerance", "nan_tolerance"],
+    ids=[
+        "short_series",
+        "negative_label",
+        "zero_embedding",
+        "inf_tolerance",
+        "nan_tolerance",
+        "zero_tolerance",
+        "negative_tolerance",
+        "fractional_label",
+    ],
 )
 def test_measures_undefined_input_is_an_error_not_a_traceback(tmp_path, capsys, rows, args, message):
     path = tmp_path / "data.csv"

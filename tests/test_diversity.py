@@ -418,6 +418,13 @@ def test_diversity_config_caps_must_be_positive(cap):
             DiversityConfig(**{cap: value})
 
 
+def test_diversity_config_tolerance_scale_must_be_positive():
+    # a zero or negative scale would clamp every tolerance to the flat-series 1e-12
+    for value in (0.0, -0.2):
+        with pytest.raises(ValidationError, match="nonpositive_tolerance_scale"):
+            DiversityConfig(tolerance_scale=value)
+
+
 def test_diversity_config_model_weights_must_be_simplex():
     # model_diversity_index takes its weights from the config, which alone checks them
     DiversityConfig(model_dissimilarity_weight=0.25, model_redundancy_weight=0.75)

@@ -25,6 +25,18 @@ from feelsim.scheduler import ConstraintConfig
 from conftest import make_device
 
 
+def _record(round_index, times, energy):
+    return RoundRecord(
+        round=round_index,
+        participants=tuple(sorted(times)),
+        global_accuracy=0.5,
+        global_loss=1.0,
+        jain_fairness=1.0,
+        device_times=times,
+        device_energy=energy,
+    )
+
+
 def test_value_types_are_immutable():
     # DeviceProfile is the one mutable type: the engine evolves it in place
     dev = make_device()
@@ -35,7 +47,7 @@ def test_value_types_are_immutable():
         (DatasetProfile(uncertainty=0.5, diversity_index=0.3), "diversity_index"),
         (DeviceReport(device_id=0, diversity_index=0.3, battery_level=0.5), "battery_level"),
         (ScheduleDecision((0,), {0: 1.0}, round_valid=True), "selected"),
-        (RoundRecord(0, 1.0, 2.0, (0,), 0.5, 1.0, 1.0), "total_energy_j"),
+        (_record(0, {0: 1.0}, {0: 2.0}), "participants"),
     ]
     for value, name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -43,17 +55,23 @@ def test_value_types_are_immutable():
 
 
 def test_abort_is_read_off_the_participants():
-    aborted = RoundRecord(0, 0.0, 0.0, (), 0.5, 1.0, 1.0)
-    completed = RoundRecord(1, 1.0, 2.0, (0,), 0.5, 1.0, 1.0)
+    aborted = _record(0, {}, {})
+    completed = _record(1, {0: 1.0, 3: 0.25}, {0: 2.0, 3: 0.5})
     assert aborted.aborted is True and completed.aborted is False
+    # duration and energy are read off the per-device ledgers
+    assert (aborted.duration_s, aborted.total_energy_j) == (0.0, 0)
+    assert (completed.duration_s, completed.total_energy_j) == (1.0, 2.5)
     result = SimulationResult(rounds=(aborted, completed), final_model=ModelParams(np.zeros(2)), rounds_to_target=None)
     assert result.aborted_rounds == 1
 
 
 def test_derived_facts_cannot_be_set():
     features, labels = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    record = vars(_record(0, {}, {}))
     constructors = [
-        lambda: RoundRecord(0, 0.0, 0.0, (), 0.5, 1.0, 1.0, aborted=False),
+        lambda: RoundRecord(**record, aborted=False),
+        lambda: RoundRecord(**record, duration_s=0.0),
+        lambda: RoundRecord(**record, total_energy_j=0.0),
         lambda: SimulationResult(rounds=(), final_model=ModelParams(np.zeros(2)), rounds_to_target=None, aborted_rounds=0),
         lambda: LocalDataset("classification", features, labels, n_samples=4),
         lambda: DatasetProfile(richness=4, uncertainty=0.5, diversity_index=0.3),
