@@ -156,10 +156,11 @@ def _measure_lines(data: np.ndarray, task: str, embedding_m: int, tolerance_scal
         labels = data[:, -1]
         if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
             raise ValueError("class labels must be whole numbers")
-        labels = labels.astype(np.int64)
+        # labels name classes: rank the distinct ones, so a sparse or signed label is one class like any other
+        names, ranks = np.unique(labels, return_inverse=True)
         features = data[:, :-1] if data.shape[1] > 1 else data
-        dataset = LocalDataset("classification", features, labels)
-        k = int(labels.max()) + 1
+        dataset = LocalDataset("classification", features, ranks)
+        k = names.size
         counts = dataset.class_counts(k)
         profile = dataset_diversity_index(dataset, cfg, n_classes=k)
         yield f"n_samples = {dataset.n_samples}"

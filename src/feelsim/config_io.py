@@ -4,14 +4,15 @@ Format: ``[section]`` headers, ``key = value`` lines, ``#`` or ``;``
 comments.  Unknown sections or keys are hard errors that name the offending
 line, so a typo cannot silently fall back to a default.
 
-Each key sets one field of a config dataclass (see ``SCHEMA``) and is parsed
-by that field's type annotation.  A float parses ``inf`` but not ``nan``;
-each dataclass then refuses ``inf`` in every float field but
-``completion_threshold`` and ``min_snr_db`` (``domain.require_finite``).  A
-key missing from the file keeps the dataclass default; defaults live only
-there:
+Each key sets one field of a config dataclass (see ``SCHEMA``), no field
+has two keys, and a key is parsed by its field's type annotation.  A float
+parses ``inf`` but not ``nan``; each dataclass then refuses ``inf`` in every
+float field but ``completion_threshold`` and ``min_snr_db``
+(``domain.require_finite``).  A key missing from the file keeps the
+dataclass default; defaults live only there:
 
-    [devices]      FleetSpec
+    [devices]      FleetSpec; a run partitions its pool over the fleet's
+                   n_devices, so PartitionSpec's count has no key
     [data]         DataConfig, PartitionSpec, DiversityConfig (measure);
                    runs build classification data only, so the time-series
                    and clustering knobs of DiversityConfig are API-only
@@ -112,31 +113,28 @@ PARSERS = {
 
 
 def _same_names(prefix: str, *names: str) -> dict:
-    return {name: (prefix + name,) for name in names}
+    return {name: prefix + name for name in names}
 
 
-# section -> key -> the fields it sets, as dotted paths from ExperimentSpec
+# section -> key -> the field it sets, as a dotted path from ExperimentSpec
 SCHEMA = {
-    "devices": {
-        **_same_names("base.fleet.", *(f.name for f in fields(FleetSpec))),
-        "n_devices": ("base.fleet.n_devices", "base.data.partition.n_devices"),
-    },
+    "devices": _same_names("base.fleet.", *(f.name for f in fields(FleetSpec))),
     "data": {
         **_same_names("base.data.", "n_classes", "dim", "samples_per_class", "class_sep", "test_fraction"),
         **_same_names("base.data.partition.", "skew", "alpha", "size_dist", "size_sigma", "power_exponent"),
         **_same_names("base.data.partition.", "min_size", "redundancy_factor"),
-        "measure": ("base.data.diversity.classification_measure",),
+        "measure": "base.data.diversity.classification_measure",
     },
     "train": _same_names("base.train.", "epochs", "batch_size", "learning_rate", "l2_reg"),
     "network": _same_names("base.network.", *(f.name for f in fields(NetworkConfig))),
     "constraints": _same_names("base.constraints.", *(f.name for f in fields(ConstraintConfig))),
     "scheduler": {
         **_same_names("base.", "aggregation", "size_priority_inverse"),
-        "k": ("base.k_per_round",),
-        "q": ("base.qffl_q",),
+        "k": "base.k_per_round",
+        "q": "base.qffl_q",
         **_same_names("base.weights.", "w_diversity", "w_battery", "w_channel"),
-        "w_model_dissimilarity": ("base.data.diversity.model_dissimilarity_weight",),
-        "w_model_redundancy": ("base.data.diversity.model_redundancy_weight",),
+        "w_model_dissimilarity": "base.data.diversity.model_dissimilarity_weight",
+        "w_model_redundancy": "base.data.diversity.model_redundancy_weight",
         **_same_names("base.data.diversity.", "redundancy_cap", "outlier_percentile"),
     },
     "experiment": {
@@ -163,7 +161,6 @@ def _read_values(path: str) -> dict:
     Structure errors and bad values name the offending line.
     """
     values: dict = {}
-    seen: set = set()
     section = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -183,15 +180,13 @@ def _read_values(path: str) -> dict:
             key = key.strip()
             if key not in SCHEMA[section]:
                 raise ConfigError(f"{path}:{line_no}: unknown key '{key}' in [{section}]")
-            if (section, key) in seen:
+            target = SCHEMA[section][key]
+            if target in values:
                 raise ConfigError(f"{path}:{line_no}: duplicate key '{key}' in [{section}]")
-            seen.add((section, key))
-            targets = SCHEMA[section][key]
             try:
-                value = PARSERS[_annotation(targets[0])](text.strip())
+                values[target] = PARSERS[_annotation(target)](text.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for '{key}': {exc}") from exc
-            values.update(dict.fromkeys(targets, value))
     return values
 
 

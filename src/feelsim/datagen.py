@@ -130,11 +130,8 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     if pool.task_kind != "classification":
         raise ValidationError("unknown_task_kind", "partition expects a classification pool")
     rng = np.random.default_rng(seed)
-    n_pool = pool.n_samples
-    if spec.min_size * spec.n_devices > n_pool:
-        raise InsufficientPoolError(f"{spec.n_devices} x min_size {spec.min_size} exceeds pool {n_pool}")
     n_classes = int(pool.labels.max()) + 1
-    sizes = _target_sizes(spec, n_pool, rng)
+    sizes = _target_sizes(spec, pool.n_samples, rng)
 
     pool_counts = pool.class_counts(n_classes).astype(float)
     pool_props = pool_counts / pool_counts.sum()
@@ -151,20 +148,9 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     for dev in range(spec.n_devices):
         size = int(sizes[dev])
         quota = _largest_remainder(proportions[dev], size)
-        picked: list = []
-        shortfall = 0
-        for c in range(n_classes):
-            take = min(int(quota[c]), len(stacks[c]))
-            shortfall += int(quota[c]) - take
-            for _ in range(take):
-                picked.append(stacks[c].pop())
-        while shortfall > 0:
-            stocks = [len(s) for s in stacks]
-            if sum(stocks) == 0:
-                raise InsufficientPoolError(f"pool exhausted at device {dev}")
-            c = int(np.argmax(stocks))
-            picked.append(stacks[c].pop())
-            shortfall -= 1
+        picked = [stacks[c].pop() for c in range(n_classes) for _ in range(min(int(quota[c]), len(stacks[c])))]
+        while len(picked) < size:
+            picked.append(max(stacks, key=len).pop())
         rows = np.array(picked, dtype=np.int64)
         rng.shuffle(rows)
 

@@ -108,6 +108,8 @@ class SimulationConfig:
         if self.qffl_q < 0:
             raise ValidationError("negative_q")
         require_finite(self)
+        if self.qffl_q != 0 and self.aggregation == "fedavg":
+            raise ValidationError("q_without_loss_weighting", f"q = {self.qffl_q} needs aggregation = loss_weighted")
         if self.target_accuracy is not None and not (0.0 < self.target_accuracy <= 1.0):
             raise ValidationError("target_out_of_range")
         if self.master_seed < 0:

@@ -96,47 +96,40 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     solves, by bisection on the common finish time T, for the shares that let
     every device end together: b_k = bits / (s_k * (T - compute_k)) with
     bits the model size and s_k the spectral efficiency.  A device whose
-    spectral efficiency underflows to zero cannot finish under any finite T;
-    it falls back to the equal share and the remaining band is equalized
-    among the rest.
+    spectral efficiency underflows to zero cannot finish under any finite T,
+    so it raises ``UnreachableDeviceError``, as ``expected_completion_time``
+    does for the filter.
 
     Shares always sum to the total bandwidth.
     """
     if not selected:
         raise NoParticipantsError("no devices to allocate bandwidth to")
-    n = len(selected)
     band = cfg.total_bandwidth
-    equal_share = band / n
+    equal_share = band / len(selected)
     if cfg.allocation_strategy == "equal":
         return {d.id: equal_share for d in selected}
 
     bits = cfg.model_size_bits
     eff = {d.id: _spectral_efficiency(d.channel) for d in selected}
-    solvable = [d for d in selected if eff[d.id] > 0.0]
-    fallback = [d for d in selected if eff[d.id] <= 0.0]
-    shares = {d.id: equal_share for d in fallback}
-    remaining = band - equal_share * len(fallback)
-    if not solvable:
-        return shares
-
-    comp = {d.id: compute_time(d, d.dataset.n_samples, epochs) for d in solvable}
+    for d in selected:
+        if eff[d.id] <= 0.0:
+            raise UnreachableDeviceError(f"device {d.id} rate underflowed at snr {d.channel.snr_db} dB")
+    comp = {d.id: compute_time(d, d.dataset.n_samples, epochs) for d in selected}
 
     def demand(t: float) -> float:
-        return sum(bits / (eff[d.id] * (t - comp[d.id])) for d in solvable)
+        return sum(bits / (eff[d.id] * (t - comp[d.id])) for d in selected)
 
     lo = max(comp.values())
-    per_dev = remaining / len(solvable)
-    hi = max(comp[d.id] + bits / (eff[d.id] * per_dev) for d in solvable)
+    hi = max(comp[d.id] + bits / (eff[d.id] * equal_share) for d in selected)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
-        if demand(mid) > remaining:
+        if demand(mid) > band:
             lo = mid
         else:
             hi = mid
-    raw = {d.id: bits / (eff[d.id] * (hi - comp[d.id])) for d in solvable}
-    scale = remaining / sum(raw.values())
-    shares.update({did: share * scale for did, share in raw.items()})
-    return shares
+    raw = {d.id: bits / (eff[d.id] * (hi - comp[d.id])) for d in selected}
+    scale = band / sum(raw.values())
+    return {did: share * scale for did, share in raw.items()}
 
 
 def energy_compute(device: DeviceProfile, n_samples: int, epochs: int) -> float:

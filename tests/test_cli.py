@@ -12,7 +12,7 @@ import pytest
 from feelsim.cli import _print_comparison, main, run_experiment
 from feelsim.config_io import ExperimentSpec, load_config, spec_with_overrides
 from feelsim.diversity import approximate_entropy, sample_entropy
-from feelsim.engine import SimulationConfig
+from feelsim.engine import SimulationConfig, build_state
 from feelsim.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,6 +114,23 @@ def test_unknown_key_names_the_line(tmp_path):
         text = f"[{section}]\n{key} = 5\n[experiment]\nname = x\n"
         with pytest.raises(ConfigError, match=rf":2: unknown key '{key}' in \[{section}\]"):
             load_config(_write(tmp_path, text))
+
+
+def test_devices_n_devices_sets_the_fleet_and_the_run_partitions_over_it(tmp_path):
+    spec = load_config(_write(tmp_path, SMALL_RUN))
+    assert spec.base.data.partition.n_devices == SimulationConfig().data.partition.n_devices  # no key sets it
+    state = build_state(spec.base)
+    assert sorted(state.devices) == list(range(6))
+    # six balanced shards of the whole train pool, not the first six of twenty
+    assert sum(d.dataset.n_samples for d in state.devices.values()) == state.train_pool.n_samples
+
+
+def test_q_without_loss_weighting_is_a_config_error(tmp_path, capsys):
+    # FedAvg never reads q: this run's CSVs would equal those of q = 0
+    cfg = _write(tmp_path, "[scheduler]\nq = 1.0\n[experiment]\nname = x\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "q_without_loss_weighting" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -404,6 +421,26 @@ def test_measures_classification(tmp_path, capsys):
     assert "diversity_index" in out
 
 
+def _measure_classes(tmp_path, capsys, labels) -> str:
+    path = tmp_path / "labels.csv"
+    np.savetxt(path, np.column_stack([np.arange(len(labels), dtype=float), labels]), delimiter=",")
+    assert main(["measures", str(path), "--task", "classification"]) == 0
+    return capsys.readouterr().out
+
+
+def test_measures_sparse_labels_print_what_dense_labels_print(tmp_path, capsys):
+    # labels name classes: a large label adds one class, not a million empty ones
+    sparse = _measure_classes(tmp_path, capsys, [0, 1, 1000000, 0])
+    assert "n_classes = 3\n" in sparse
+    assert sparse == _measure_classes(tmp_path, capsys, [0, 1, 2, 0])
+
+
+def test_measures_signed_labels_are_classes(tmp_path, capsys):
+    out = _measure_classes(tmp_path, capsys, [-1, 1])
+    assert "n_classes = 2\n" in out
+    assert out == _measure_classes(tmp_path, capsys, [0, 1])
+
+
 def test_measures_single_class_entropy_is_positive_zero(tmp_path, capsys):
     path = tmp_path / "one_class.csv"
     np.savetxt(path, np.column_stack([np.arange(5.0), np.zeros(5)]), delimiter=",")
@@ -443,7 +480,6 @@ def test_measures_bad_file(tmp_path, capsys):
     "rows, args, message",
     [
         ([[1.0], [2.0], [3.0]], ["--task", "timeseries"], "series_too_short"),
-        ([[0.1, 1], [0.2, -1], [0.3, 0]], ["--task", "classification"], "negative_label"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--embedding-m", "0"], "embedding dimension"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "inf"], "not_finite"),
         ([[np.sin(t / 4)] for t in range(60)], ["--task", "timeseries", "--tolerance-scale", "nan"], "not_finite"),
@@ -453,7 +489,6 @@ def test_measures_bad_file(tmp_path, capsys):
     ],
     ids=[
         "short_series",
-        "negative_label",
         "zero_embedding",
         "inf_tolerance",
         "nan_tolerance",

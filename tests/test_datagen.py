@@ -132,10 +132,12 @@ def test_redundant_rows_are_copies_of_local_rows():
     assert not (all_tags[0] & all_tags[1])  # duplicates never leak across devices
 
 
-def test_insufficient_pool_raises():
+@pytest.mark.parametrize("size_dist", ["balanced", "lognormal", "powerlaw"])
+def test_insufficient_pool_raises(size_dist):
+    # the size draw is the one pool-size check, under every size distribution
     pool = _uniform_pool(n=8, n_classes=2)
-    with pytest.raises(InsufficientPoolError):
-        partition(pool, PartitionSpec(n_devices=3, min_size=4), seed=0)
+    with pytest.raises(InsufficientPoolError, match="pool of 8 cannot cover 3 devices at min_size 4"):
+        partition(pool, PartitionSpec(n_devices=3, min_size=4, size_dist=size_dist), seed=0)
 
 
 def test_partition_spec_validation():

@@ -334,6 +334,11 @@ def test_config_validation():
         small_config(qffl_q=-1.0)
     with pytest.raises(ValidationError, match="master_seed -1"):
         small_config(master_seed=-1)
+    # FedAvg never reads q, so a nonzero q only sets a field no round reads
+    with pytest.raises(ValidationError) as err:
+        small_config(qffl_q=1.0)
+    assert err.value.code == "q_without_loss_weighting"
+    assert small_config(qffl_q=1.0, aggregation="loss_weighted").qffl_q == 1.0
     with pytest.raises(ValidationError):
         DataConfig(test_fraction=0.0)
 

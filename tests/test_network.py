@@ -177,12 +177,16 @@ def test_equalize_never_slower_than_equal_split():
         assert t_eq <= t_flat * (1 + 1e-9)
 
 
-def test_equalize_degenerate_device_gets_equal_share():
+def test_equalize_refuses_unreachable_device_as_the_filter_does():
+    # no finite finish time exists for a zero-rate device; the equal split reads no channel
     ok = make_device(device_id=0, snr_db=10.0, n_samples=50)
     dead = make_device(device_id=1, snr_db=-4000.0, n_samples=50)
-    shares = allocate_bandwidth([ok, dead], _equalize_cfg(), epochs=1)
-    assert shares[1] == pytest.approx(5e5, rel=1e-12)
-    assert sum(shares.values()) == pytest.approx(1e6, rel=1e-12)
+    with pytest.raises(UnreachableDeviceError) as refused:
+        allocate_bandwidth([ok, dead], _equalize_cfg(), epochs=1)
+    with pytest.raises(UnreachableDeviceError) as filtered:
+        expected_completion_time(dead, _equalize_cfg(), 5e5, epochs=1)
+    assert str(refused.value) == str(filtered.value)
+    assert allocate_bandwidth([ok, dead], NetworkConfig(total_bandwidth=1e6), epochs=1) == {0: 5e5, 1: 5e5}
 
 
 @settings(max_examples=30, deadline=None)
