@@ -45,7 +45,7 @@ from .errors import FeelsimError
 logger = logging.getLogger(__name__)
 
 ROUNDS_HEADER = ["round", "duration_s", "energy_j", "n_participants", "accuracy", "loss", "jain_fairness", "aborted"]
-SUMMARY_HEADER = ["scheduler", "seed", "rounds_to_target", "total_time_s", "total_energy_j", "final_accuracy", "mean_jain"]
+SUMMARY_HEADER = ["scheduler", "seed", "rounds_to_target", "total_time_s", "total_energy_j", "final_accuracy", "mean_jain", "aborted_rounds"]
 
 
 def _fmt(value) -> str:
@@ -97,6 +97,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     "total_energy_j": sum(r.total_energy_j for r in records),
                     "final_accuracy": records[-1].global_accuracy,
                     "mean_jain": sum(r.jain_fairness for r in records) / len(records),
+                    "aborted_rounds": result.aborted_rounds,
                 }
             )
 

@@ -10,6 +10,7 @@ the devices that would otherwise straggle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -20,6 +21,8 @@ from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
 
 _BISECTION_ITERS = 60
+
+_CHANNEL_BLOCK = 256  # device ids per CHANNEL substream
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,24 @@ def energy_transmit(device: DeviceProfile, comm_time: float) -> float:
     return device.tx_power * comm_time
 
 
+@functools.lru_cache(maxsize=8)
+def _channel_normals(master_seed: int, round_index: int, block: int) -> tuple:
+    """The standard normals of one block of device ids in one round, as Python floats."""
+    rng = seeding.substream(master_seed, seeding.CHANNEL, round_index, block)
+    return tuple(rng.standard_normal(_CHANNEL_BLOCK).tolist())
+
+
 def resample_channel(
     channel: ChannelState, master_seed: int, device_id: int, round_index: int
 ) -> ChannelState:
     """New SNR draw for (device, round); a pure function of its arguments.
 
     SNR in dB is normal around the device's mean, i.e. lognormal in linear
-    SNR.
+    SNR.  The standard normal is element ``device_id % 256`` of one draw of
+    256 from the ``(CHANNEL, round_index, device_id // 256)`` substream.  A
+    cache of the last 8 blocks lets a round that walks its devices in id
+    order draw each block once; no draw depends on the cache or on the fleet
+    size.
     """
-    rng = seeding.substream(master_seed, seeding.CHANNEL, device_id, round_index)
-    snr = channel.mean_snr_db + channel.std_snr_db * rng.standard_normal()
-    return replace(channel, snr_db=float(snr))
+    z = _channel_normals(master_seed, round_index, device_id // _CHANNEL_BLOCK)[device_id % _CHANNEL_BLOCK]
+    return replace(channel, snr_db=float(channel.mean_snr_db + channel.std_snr_db * z))

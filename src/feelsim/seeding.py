@@ -2,9 +2,11 @@
 
 Every random draw in a simulation descends from a single master seed through
 ``numpy`` SeedSequence spawn keys.  Streams are keyed by a stream id plus the
-relevant (device id, round index) coordinates, so per-device and per-round
-randomness is independent: adding a device or extending a run never perturbs
-the draws of any other (device, round) pair.
+relevant device id and round index coordinates.  The ``CHANNEL`` stream is
+keyed by (round, block of 256 device ids): one draw of 256 normals per block
+and round, of which each device reads its own element.  So randomness is
+independent per (device, round) pair: adding a device or extending a run
+never perturbs the draws of any other (device, round) pair.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from feelsim.config_io import ExperimentSpec, load_config, spec_with_overrides
 from feelsim.diversity import approximate_entropy, sample_entropy
 from feelsim.engine import SimulationConfig, build_state
 from feelsim.errors import ConfigError
+from test_golden import POLICIES, _drain_and_abort
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -330,6 +331,21 @@ def test_run_experiment_writes_expected_tree(tmp_path, capsys):
 
     table = capsys.readouterr().out
     assert "diversity_pre" in table and "random" in table
+
+
+def test_summary_aborted_rounds_sums_each_runs_aborted_column(tmp_path):
+    spec = ExperimentSpec("abort", _drain_and_abort("random"), list(POLICIES), [11, 12], str(tmp_path))
+    assert run_experiment(spec) == 0
+    root = tmp_path / "abort"
+    with open(root / "summary.csv") as fh:
+        summary = list(csv.DictReader(fh))
+    assert list(summary[0])[-2:] == ["mean_jain", "aborted_rounds"]
+    assert len(summary) == len(POLICIES) * 2
+    for row in summary:
+        with open(root / row["scheduler"] / f"seed_{row['seed']}" / "rounds.csv") as fh:
+            aborted = sum(int(r["aborted"]) for r in csv.DictReader(fh))
+        assert int(row["aborted_rounds"]) == aborted
+    assert sum(int(row["aborted_rounds"]) for row in summary) > 0  # the config does abort rounds
 
 
 def _table_rounds(capsys, reached, target_accuracy=0.8):

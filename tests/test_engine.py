@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import feelsim.engine
 from feelsim.datagen import FleetSpec, PartitionSpec
 from feelsim.engine import (
     AGGREGATIONS,
@@ -175,6 +176,24 @@ def test_channels_resampled_each_round():
     means = {did: d.channel.mean_snr_db for did, d in state.devices.items()}
     run_round_pre(state)
     assert {did: d.channel.mean_snr_db for did, d in state.devices.items()} == means
+
+
+@pytest.mark.parametrize("policy", ["diversity_pre", "diversity_post"])
+def test_each_round_fades_every_device_through_the_engine_name(monkeypatch, policy):
+    # perfbench times the channel layer by wrapping this very name
+    calls = []
+    fade = feelsim.engine.resample_channel
+
+    def counted(channel, master_seed, device_id, round_index):
+        calls.append((device_id, round_index))
+        return fade(channel, master_seed, device_id, round_index)
+
+    monkeypatch.setattr(feelsim.engine, "resample_channel", counted)
+    cfg = small_config(policy=policy)
+    run_simulation(cfg)
+    n = cfg.fleet.n_devices
+    assert len(calls) == n * cfg.rounds_max
+    assert calls == [(did, r) for r in range(cfg.rounds_max) for did in range(n)]
 
 
 # ---------------------------------------------------------------- post mode

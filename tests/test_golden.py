@@ -100,21 +100,21 @@ def _drain_and_abort(policy: str) -> SimulationConfig:
 CONFIGS = {"fedavg": _fedavg, "loss_weighted": _loss_weighted, "drain_and_abort": _drain_and_abort}
 
 GOLDEN = {
-    ("drain_and_abort", "diversity_pre"): "d94f1433f6f987ad978dc7877adafb21a06f1eab9433836129931bb210f5a3b9",
-    ("drain_and_abort", "diversity_post"): "18a2035b6c5b2a507add4c70c052c62709832bf64c3c6ce7f4afdb5f3d425b8b",
-    ("drain_and_abort", "random"): "2a15d81cae169621fc79c50b741039ae89cb705d39ebc0fc56fdded21aee5a06",
-    ("drain_and_abort", "data_size"): "1ab33d3d5e823b568c9e17f862516ed1e2d9ad059b568a7ae6efe461d4dbbdf5",
-    ("drain_and_abort", "age_fair"): "46f041184fbdb65abf7cf15a59b54db7024ca84c76b940403abc4c0940f1197a",
-    ("fedavg", "diversity_pre"): "7ba5ce8d11e1b83b128e92841a26e3a1d8d7f754906545a53c8c789eb34139c7",
-    ("fedavg", "diversity_post"): "9581524c657b7144c48fbc310135f6a96f446a280c7bec47df02b50b7cbea968",
-    ("fedavg", "random"): "83cbad74315c8583c580d1bf7262b19e042841a6dbf26df991b3132d3b44e6ad",
-    ("fedavg", "data_size"): "e37d7e6f3030d5fd2605c5399110b9ef617b9706959c7241b5f4bd698b218f43",
-    ("fedavg", "age_fair"): "e7b075a47368edfed04acec44eb668c37af7364e26703f5062a0249b345a75dd",
-    ("loss_weighted", "diversity_pre"): "13443fed801cf8cc52cd3768190a19c1220c79c8a1bdb6a5265d68f402d89dd5",
-    ("loss_weighted", "diversity_post"): "47c131cd83de0f4648a4df78e03889e8847a743ec029b8c578fb1c8fa27c3737",
-    ("loss_weighted", "random"): "20a3b1352f4c65f240ab23de1457457dfa34b65f12babe9f2f834a6f03073254",
-    ("loss_weighted", "data_size"): "3fa582b1722a7cca963ee92b436f3dec05b713802ad3509d6d731a7bea510a14",
-    ("loss_weighted", "age_fair"): "d8e08bbdc02b264413b2771f623ca8ef647f74b5849d8968305b4a2afd02de53",
+    ("drain_and_abort", "diversity_pre"): "799994deecb822d3d45af5e32acd111e9b8d82607eb6cfbfcd70f46cf0df7c49",
+    ("drain_and_abort", "diversity_post"): "1aa57433584d7540a8d4fe9e30a90a4753f0540fbd9ab137fc0c8db6086bb77e",
+    ("drain_and_abort", "random"): "5493abaef087a408e67b7ccf06bbb7a5f01d0a7c985d6bc1d1d73ec7c14ae9f1",
+    ("drain_and_abort", "data_size"): "4369bd3a019d2a5b545e880b6062ff4c4337d730a47fceeb837317c20eaf5d11",
+    ("drain_and_abort", "age_fair"): "9511c7c082da7cf7e5bb0f29b5065d0cf5acb31ac3ea95dc79f016d6d8f805c1",
+    ("fedavg", "diversity_pre"): "b154f0cb91cc818193fd2218d73add86522b090af7b4bc6d3c9182e918b61a83",
+    ("fedavg", "diversity_post"): "df4cdb30e792b7e844d846bf604bdea839995ff6f598f2e962a7852834d23f8b",
+    ("fedavg", "random"): "68f812d7a5e09848c9919fd712db964c9a47877f099857437a3cd38d10824ce4",
+    ("fedavg", "data_size"): "0c5af1f447a3984d86edd3e4998605522faca9a059780a184fc477a85b0bab47",
+    ("fedavg", "age_fair"): "2ab6411506d552329311b087b744fd68c32c4b41723bba0a2584ade815820945",
+    ("loss_weighted", "diversity_pre"): "caf33603fa60c8a1637ab196ff8fde6550c8bb4f0fc74b9a880de956221a932e",
+    ("loss_weighted", "diversity_post"): "d7225f549c70e9a78ddfe7c2fde81b23ed12c40cf640f94ba51887cec61a274f",
+    ("loss_weighted", "random"): "f784e8f71877da8e1ed5a72a16dbe9c5944ff170f82985b48d8991ef74ce41af",
+    ("loss_weighted", "data_size"): "a97c933b06ab3dff168f280c9353a93107c74fbb8be06b7ce44c66d9fe83aeb1",
+    ("loss_weighted", "age_fair"): "50a21527c979ded52c9e3344c87465f72ad02c018170fc1204c046f6dd5cd7fa",
 }
 
 SWEEP = """\
@@ -148,17 +148,17 @@ schedulers = diversity_pre, diversity_post, random, data_size, age_fair
 """
 
 SWEEP_CSVS = {
-    "age_fair/seed_0/rounds.csv": "c69c17e19bf56b8350d27c21f4181b65724822f3e0eac9fde8a4e6a399adb1a9",
-    "age_fair/seed_1/rounds.csv": "42b3ba31240409006872282b15a3bbf64c2ae29b50ad2a31759467f8c2dd6453",
-    "data_size/seed_0/rounds.csv": "c8dfdb83bec03757aa0fe7cebcbfb8c246affacf003787cae9c0d3134720f221",
-    "data_size/seed_1/rounds.csv": "d149ef887df56731c258ee119a7c2dd4d6d0d361a39d54ee9aa24f15acb10531",
-    "diversity_post/seed_0/rounds.csv": "abdbc3c80d71dc10beb5745f1b4a55131d7f35c8b0d585170a23f76816d38872",
-    "diversity_post/seed_1/rounds.csv": "ecf3ce4bf14be1933ab9a63ee2bb321113246962d9088511f68fa8b9c03afdfa",
-    "diversity_pre/seed_0/rounds.csv": "d831fcd28ca1d9bdabd5d95b7f4124a1cb349f70b799f332c9fd718070b48688",
-    "diversity_pre/seed_1/rounds.csv": "5e5ca0e14dd740abd839079bbf7e1520b036e0454f0a2e55bd1b5d15eb49fa52",
-    "random/seed_0/rounds.csv": "69ece517161043545cc7d3e86fbc816080dbbbfc8a22b8f80ad45bb3df646853",
-    "random/seed_1/rounds.csv": "9031ade23b821ba97888038704578c627a0b97ccdb01fe4201b0bb8abd328d73",
-    "summary.csv": "1e35edc6ddc859cabd0c2b857e45864e80101aca4e21fee642d4142a14a1bef9",
+    "age_fair/seed_0/rounds.csv": "2302b598105c8f77f807de7b7ac3390d781ec8593c1f7a9748b3bf90c01dd313",
+    "age_fair/seed_1/rounds.csv": "12508a3e094c048d9e7b85d46217765d06c5c848f1a9c889503a5d87191517da",
+    "data_size/seed_0/rounds.csv": "e23820d7d6b736f09d2ac040a78f4a16bd85617ea13a97902897acfc40235ff5",
+    "data_size/seed_1/rounds.csv": "3f63153361a7051529d1a21d6ae044f2906fb8a2dd99998d13b99c5afaf73cac",
+    "diversity_post/seed_0/rounds.csv": "251cf47a165c1c636f0600ff93b572e6a2afc757e096ab66f4e2ae65efed4cd4",
+    "diversity_post/seed_1/rounds.csv": "c7975cba6c0c4e6b2ffc8acf56acd0fe08f5630ee98d75a13644d416fe39abae",
+    "diversity_pre/seed_0/rounds.csv": "82f40c4b479a51da5b00a175ea08ab594a09d7af2a461ac6d8fb33b1bae41b2c",
+    "diversity_pre/seed_1/rounds.csv": "4992fd87f06ee405b050ff23ce69170050d0d97c28fbbe3a6cc6309ef829d364",
+    "random/seed_0/rounds.csv": "f8e7689ed958ff673339ac3698f028f4d45d7afd796ccf2377ab79dea97455d8",
+    "random/seed_1/rounds.csv": "f1d734935aaebb195ad5b2ac9f690b7271305ca58fc525abeb8bddefe4c04560",
+    "summary.csv": "f50c67e91979b2412edc58f704494c513df0a9ced8fbc236e6e9eafb4115d40f",
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
+from feelsim import seeding
 from feelsim.errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 from feelsim.network import (
     NetworkConfig,
@@ -241,3 +242,30 @@ def test_resample_channel_statistics():
     draws = np.array([resample_channel(dev.channel, 0, 0, r).snr_db for r in range(4000)])
     assert abs(draws.mean() - dev.channel.mean_snr_db) < 0.15
     assert abs(draws.std() - dev.channel.std_snr_db) < 0.15
+
+
+def _block_snr(channel, master_seed, device_id, round_index) -> str:
+    """The SNR the block keying promises, drawn afresh and written exactly."""
+    block = seeding.substream(master_seed, seeding.CHANNEL, round_index, device_id // 256).standard_normal(256)
+    return float(channel.mean_snr_db + channel.std_snr_db * block[device_id % 256]).hex()
+
+
+@pytest.mark.parametrize("device_id", [0, 255, 256, 511, 1999])
+def test_resample_channel_reads_its_device_off_a_block_of_256(device_id):
+    dev = make_device(snr_db=10.0, std_snr_db=2.0)
+    assert resample_channel(dev.channel, 5, device_id, 3).snr_db.hex() == _block_snr(dev.channel, 5, device_id, 3)
+
+
+def test_resample_channel_cache_is_invisible():
+    # 12 distinct (seed, round, block) keys overflow the 8-block cache
+    dev = make_device(snr_db=10.0, std_snr_db=2.0)
+    keys = [(seed, did, rnd) for seed in (1, 2) for rnd in (0, 1) for did in (7, 300, 600)]
+    forward = {key: resample_channel(dev.channel, *key).snr_db.hex() for key in keys}
+    shuffled = [keys[i] for i in np.random.default_rng(0).permutation(len(keys))]
+    assert {key: resample_channel(dev.channel, *key).snr_db.hex() for key in shuffled} == forward
+    assert forward == {key: _block_snr(dev.channel, *key) for key in keys}
+
+
+def test_devices_in_one_block_draw_apart():
+    dev = make_device(snr_db=10.0, std_snr_db=2.0)
+    assert resample_channel(dev.channel, 7, 3, 5).snr_db != resample_channel(dev.channel, 7, 4, 5).snr_db
