@@ -23,6 +23,7 @@ import csv
 import logging
 import statistics
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,7 +136,9 @@ def _median_rounds(reached: list, cfg: SimulationConfig) -> str:
 def run_measures(path: str, task: str, embedding_m: int, tolerance_scale: float) -> int:
     """Diversity measures for an external CSV dataset."""
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, as too few rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         print(f"error: could not read {path}: {exc}", file=sys.stderr)
         return 1

@@ -105,23 +105,28 @@ def _target_sizes(spec: PartitionSpec, pool_size: int, rng: np.random.Generator)
     return sizes
 
 
-def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
-    """Integer quota per class summing exactly to ``total``."""
-    ideal = proportions * total
+def _largest_remainder(proportions: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Integer quotas per row and class, each row summing exactly to its total.
+
+    Every row is floored, and its shortfall goes one unit each to the classes
+    with the largest remainders, ties toward the lower class.
+    """
+    ideal = proportions * totals[:, None]
     base = np.floor(ideal).astype(np.int64)
-    short = total - int(base.sum())
-    if short > 0:
-        remainder = ideal - base
-        order = np.lexsort((np.arange(proportions.size), -remainder))
-        base[order[:short]] += 1
+    short = totals - base.sum(axis=1)
+    remainder = ideal - base
+    order = np.argsort(-remainder, axis=1, kind="stable")
+    rows, ranks = np.nonzero(np.arange(proportions.shape[1]) < short[:, None])
+    base[rows, order[rows, ranks]] += 1
     return base
 
 
 def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     """Split a classification pool into per-device datasets.
 
-    Draw order is fixed (sizes, then per-device class proportions, then
-    sample picks), so results are a pure function of (pool, spec, seed).
+    Draw order is fixed (sizes, then every device's class proportions in one
+    Dirichlet draw, then sample picks), so results are a pure function of
+    (pool, spec, seed).
     Devices receive disjoint pool rows; when a class runs dry, the shortfall
     spills into the classes with the most stock remaining.  Redundancy then
     replaces a ``redundancy_factor`` share of each device's rows with copies
@@ -133,22 +138,19 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     n_classes = int(pool.labels.max()) + 1
     sizes = _target_sizes(spec, pool.n_samples, rng)
 
-    pool_counts = pool.class_counts(n_classes).astype(float)
-    pool_props = pool_counts / pool_counts.sum()
-    proportions = np.empty((spec.n_devices, n_classes))
-    for dev in range(spec.n_devices):
-        if spec.skew == "iid":
-            proportions[dev] = pool_props
-        else:
-            proportions[dev] = rng.dirichlet(np.full(n_classes, spec.alpha))
+    if spec.skew == "iid":
+        pool_counts = pool.class_counts(n_classes).astype(float)
+        proportions = np.tile(pool_counts / pool_counts.sum(), (spec.n_devices, 1))
+    else:
+        proportions = rng.dirichlet(np.full(n_classes, spec.alpha), size=spec.n_devices)
+    quotas = _largest_remainder(proportions, sizes)
 
     stacks = [list(rng.permutation(np.flatnonzero(pool.labels == c))) for c in range(n_classes)]
 
     datasets = []
     for dev in range(spec.n_devices):
         size = int(sizes[dev])
-        quota = _largest_remainder(proportions[dev], size)
-        picked = [stacks[c].pop() for c in range(n_classes) for _ in range(min(int(quota[c]), len(stacks[c])))]
+        picked = [stacks[c].pop() for c in range(n_classes) for _ in range(min(int(quotas[dev, c]), len(stacks[c])))]
         while len(picked) < size:
             picked.append(max(stacks, key=len).pop())
         rows = np.array(picked, dtype=np.int64)

@@ -202,10 +202,10 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
 
 def _train(state: SimulationState, devices: list) -> dict:
     """Each device's local update from the current global model, by id."""
-    cfg = state.cfg
+    cfg, rnd = state.cfg, state.round
     updates = {}
     for dev in devices:
-        tcfg = replace(cfg.train, seed=seeding.derive_seed(cfg.master_seed, seeding.TRAINING, dev.id, state.round))
+        tcfg = replace(cfg.train, seed=seeding.derive_seed(cfg.master_seed, seeding.TRAINING, dev.id, rnd))
         updates[dev.id] = local_train(state.model, dev.dataset, tcfg, device_id=dev.id)
     return updates
 
@@ -254,10 +254,10 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
     aborts.  Otherwise only the selected devices train, and each pays for its
     training and its upload as one charge.
     """
-    cfg = state.cfg
+    cfg, rnd = state.cfg, state.round
     epochs = cfg.train.epochs
     for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
-        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, state.round)
+        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, rnd)
     eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
     compute_times, energies, updates = {}, {}, {}
     if train_first:
@@ -280,7 +280,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
             joules = energy_compute(dev, dev.dataset.n_samples, epochs) + joules
         energies[did] = energies.get(did, 0.0) + _drain(dev, joules)
         dev.participation_count += 1
-        dev.last_participation_round = state.round
+        dev.last_participation_round = rnd
 
     if participants:
         chosen = [updates[did] for did in participants]
@@ -290,7 +290,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
             state.model = aggregate_fedavg(chosen)
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(
-        round=state.round,
+        round=rnd,
         participants=participants,
         global_accuracy=accuracy,
         global_loss=loss,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import seeding
 from .domain import ChannelState, DeviceProfile, require_finite
@@ -167,4 +167,4 @@ def resample_channel(
     size.
     """
     z = _channel_normals(master_seed, round_index, device_id // _CHANNEL_BLOCK)[device_id % _CHANNEL_BLOCK]
-    return replace(channel, snr_db=float(channel.mean_snr_db + channel.std_snr_db * z))
+    return ChannelState(float(channel.mean_snr_db + channel.std_snr_db * z), channel.mean_snr_db, channel.std_snr_db)

@@ -103,6 +103,11 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def _best_first(devices: list, score: np.ndarray) -> list:
+    """``devices`` by descending score, equal scores toward the lower id."""
+    return [devices[i] for i in np.lexsort(([d.id for d in devices], -score))]
+
+
 def _top_k(
     eligible: list, k: int, rank: Callable[[], list], constraints: ConstraintConfig, net: NetworkConfig, epochs: int
 ) -> ScheduleDecision:
@@ -143,7 +148,7 @@ def schedule_pre_training(
         snr = _minmax(np.array([d.channel.snr_db for d in eligible]))
         batt = np.array([d.battery_level for d in eligible])
         score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
-        return [eligible[i] for i in sorted(range(len(eligible)), key=lambda i: (-score[i], eligible[i].id))]
+        return _best_first(eligible, score)
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 

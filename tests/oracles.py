@@ -188,3 +188,16 @@ def reference_local_train(weights, features, labels, epochs: int, batch_size: in
             w = w - learning_rate * grad
     final_loss, _ = reference_loss_and_grad(w, features, labels, 0.0)
     return w, final_loss
+
+
+def largest_remainder(proportions, total: int) -> list:
+    """One row's integer quotas summing to ``total``: floor each class, then
+    one unit to each of the ``short`` largest remainders, ties toward the
+    lower class."""
+    ideal = [p * total for p in proportions]
+    base = [math.floor(x) for x in ideal]
+    short = total - sum(base)
+    order = sorted(range(len(ideal)), key=lambda c: (-(ideal[c] - base[c]), c))
+    for c in order[:short]:
+        base[c] += 1
+    return base

@@ -492,6 +492,16 @@ def test_measures_bad_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "# no rows, only a comment\n"], ids=["empty", "comment_only"])
+def test_measures_file_without_rows_is_an_error_not_a_warning(tmp_path, capsys, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert main(["measures", str(path), "--task", "classification"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least two rows\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "rows, args, message",
     [

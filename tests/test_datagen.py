@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from feelsim.datagen import (
     FleetSpec,
     PartitionSpec,
+    _largest_remainder,
     make_classification_pool,
     make_fleet,
     make_timeseries,
@@ -67,6 +69,34 @@ def test_iid_balanced_exact_division():
     assert [p.n_samples for p in parts] == [2, 2, 2, 2]
     for p in parts:
         assert list(p.class_counts(2)) == [1, 1]
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.05, 0.1, 0.3, 5.0])
+@pytest.mark.parametrize("k", [2, 6])
+def test_one_dirichlet_draw_of_n_rows_equals_n_draws(alpha, k):
+    # partition draws every device's proportions at once; numpy takes
+    # different paths for alpha <= 0.1 and above
+    batched, sequential = np.random.default_rng(9), np.random.default_rng(9)
+    rows = batched.dirichlet(np.full(k, alpha), size=40)
+    one_by_one = np.array([sequential.dirichlet(np.full(k, alpha)) for _ in range(40)])
+    assert rows.tobytes() == one_by_one.tobytes()
+    assert batched.random() == sequential.random()
+
+
+def _quota_rows():
+    rng = np.random.default_rng(4)
+    random_rows = rng.dirichlet(np.ones(6), size=200), rng.integers(0, 500, size=200)
+    uniform_ties = np.full((5, 6), 1.0 / 6.0), np.array([7, 8, 11, 13, 601])
+    tiny_totals = rng.dirichlet(np.ones(6), size=4), np.array([0, 1, 0, 1])
+    exact = np.tile([0.5, 0.25, 0.125, 0.125, 0.0, 0.0], (3, 1)), np.array([8, 16, 800])  # short = 0
+    return [random_rows, uniform_ties, tiny_totals, exact]
+
+
+@pytest.mark.parametrize("proportions, totals", _quota_rows(), ids=["random", "ties", "totals_0_1", "short_0"])
+def test_quotas_match_the_per_device_reference(proportions, totals):
+    quotas = _largest_remainder(proportions, totals)
+    assert quotas.tolist() == [oracles.largest_remainder(p.tolist(), int(t)) for p, t in zip(proportions, totals)]
+    assert quotas.sum(axis=1).tolist() == totals.tolist()
 
 
 def test_partitions_are_disjoint_in_pool_rows():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_device
 from feelsim import seeding
+from feelsim.domain import ChannelState
 from feelsim.errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 from feelsim.network import (
     NetworkConfig,
@@ -269,3 +271,19 @@ def test_resample_channel_cache_is_invisible():
 def test_devices_in_one_block_draw_apart():
     dev = make_device(snr_db=10.0, std_snr_db=2.0)
     assert resample_channel(dev.channel, 7, 3, 5).snr_db != resample_channel(dev.channel, 7, 4, 5).snr_db
+
+
+def test_resample_channel_keeps_the_distribution_and_its_input():
+    channel = ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75)
+    out = resample_channel(channel, 7, 300, 2)
+    z = seeding.substream(7, seeding.CHANNEL, 2, 1).standard_normal(256)[300 % 256]
+    assert out.snr_db.hex() == replace(channel, snr_db=float(channel.mean_snr_db + channel.std_snr_db * z)).snr_db.hex()
+    assert (out.mean_snr_db, out.std_snr_db) == (9.5, 2.75)
+    assert channel == ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75)
+
+
+def test_resample_channel_refuses_a_negative_std():
+    channel = ChannelState(snr_db=10.0, mean_snr_db=10.0, std_snr_db=1.0)
+    object.__setattr__(channel, "std_snr_db", -1.0)  # past the check a constructed ChannelState passes
+    with pytest.raises(ValidationError, match="negative_snr_std"):
+        resample_channel(channel, 0, 0, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from feelsim.network import NetworkConfig
 from feelsim.scheduler import (
     ConstraintConfig,
     ScoreWeights,
+    _best_first,
     filter_eligible,
     jain_fairness,
     schedule_age_fair,
@@ -149,6 +151,31 @@ def test_pre_training_exact_ties_prefer_lower_id():
         devices, div, k=2, weights=ScoreWeights(1.0, 0.0, 0.0), constraints=LAX, net=NET, epochs=1
     )
     assert decision.selected == (0, 1)
+
+
+@pytest.mark.parametrize("order", [[3, 1, 0, 2], [2, 3, 1, 0], [0, 1, 2, 3]])
+def test_pre_training_equal_scores_prefer_lower_id_in_any_input_order(order):
+    devices = [make_device(device_id=i) for i in order]
+    decision = schedule_pre_training(
+        devices, {i: 0.5 for i in order}, k=3, weights=ScoreWeights(), constraints=LAX, net=NET, epochs=1
+    )
+    assert decision.selected == (0, 1, 2)
+
+
+def test_best_first_ties_negative_zero_with_zero():
+    devices = [SimpleNamespace(id=i) for i in (4, 2, 9, 1)]
+    ranked = _best_first(devices, np.array([0.0, -0.0, -0.0, 0.0]))
+    assert [d.id for d in ranked] == [1, 2, 4, 9]
+
+
+def test_best_first_orders_as_the_sorted_score_id_key():
+    rng = np.random.default_rng(12)
+    ids = rng.permutation(5000)[:2000]
+    score = rng.integers(-40, 40, size=2000) / 7.0  # many exact ties
+    score[rng.integers(0, 2000, size=200)] = -0.0
+    devices = [SimpleNamespace(id=int(i)) for i in ids]
+    expected = sorted(range(2000), key=lambda i: (-score[i], ids[i]))
+    assert [d.id for d in _best_first(devices, score)] == [int(ids[i]) for i in expected]
 
 
 def test_pre_training_selection_invariant_to_index_rescaling():
