@@ -248,8 +248,9 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
     if len(datasets) != spec.n_devices:
         raise ValidationError("fleet_dataset_mismatch", f"{len(datasets)} != {spec.n_devices}")
     fleet = []
-    for i, dataset in enumerate(datasets):
-        rng = seeding.substream(master_seed, seeding.FLEET, i)
+    seeds = seeding.substream_seeds(master_seed, seeding.FLEET, range(len(datasets)))
+    for i, (dataset, seed) in enumerate(zip(datasets, seeds)):
+        rng = np.random.default_rng(seed)
         mean_snr = spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal()
         profile = DeviceProfile(
             id=i,

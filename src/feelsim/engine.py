@@ -201,11 +201,16 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
 
 
 def _train(state: SimulationState, devices: list) -> dict:
-    """Each device's local update from the current global model, by id."""
-    cfg, rnd = state.cfg, state.round
+    """Each device's local update from the current global model, by id.
+
+    A device trains with the shuffles of ``derive_seed(master_seed, TRAINING,
+    id, round)``; the round's seeds are derived in one pass.
+    """
+    cfg = state.cfg
+    seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, [dev.id for dev in devices], state.round)
     updates = {}
-    for dev in devices:
-        tcfg = replace(cfg.train, seed=seeding.derive_seed(cfg.master_seed, seeding.TRAINING, dev.id, rnd))
+    for dev, seed in zip(devices, seeds):
+        tcfg = replace(cfg.train, seed=seed)
         updates[dev.id] = local_train(state.model, dev.dataset, tcfg, device_id=dev.id)
     return updates
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .domain import LocalDataset, ModelParams, require_finite
 from .errors import (
@@ -28,11 +29,19 @@ from .errors import (
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Local SGD settings.
+
+    ``seed`` is what ``np.random.default_rng`` takes for the per-epoch
+    shuffles: an int, or an ``ISeedSequence`` such as the ``PresetSeed`` the
+    engine derives per device and round, which gives the same shuffles as
+    the int seed it was derived from.
+    """
+
     epochs: int = 1
     batch_size: int = 16
     learning_rate: float = 0.1
     l2_reg: float = 0.0
-    seed: int = 0
+    seed: int | ISeedSequence = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -84,7 +93,8 @@ def _softmax(features: np.ndarray, w_mat: np.ndarray, bias: np.ndarray):
 
 def _cross_entropy(logits: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy from shifted logits and their row sums."""
-    return float((np.log(z) - logits[np.arange(logits.shape[0]), labels]).mean())
+    losses = np.log(z) - logits[np.arange(logits.shape[0]), labels]
+    return float(np.add.reduce(losses) / losses.shape[0])  # ndarray.mean's sum and division, without its wrapper
 
 
 def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from feelsim import seeding
 from feelsim.domain import LocalDataset, ModelParams
 from feelsim.errors import DegenerateWeightsError, EmptyDatasetError, NoUpdatesError, ShapeMismatchError
 from feelsim.learning import (
@@ -180,6 +182,14 @@ def test_local_train_is_bitwise_the_reference_loop(l2, batch, epochs):
     weights, features, labels = _sgd_problem(30, 4, 5, seed=batch + 10 * epochs)
     cfg = TrainConfig(epochs=epochs, batch_size=batch, learning_rate=0.1, l2_reg=l2, seed=3)
     _assert_train_matches_reference(weights, features, labels, cfg)
+    # the engine's precomputed seed trains exactly as the int seed it stands for
+    by_int = replace(cfg, seed=seeding.derive_seed(5, seeding.TRAINING, batch, epochs))
+    (preset,) = seeding.derived_seeds(5, seeding.TRAINING, [batch], epochs)
+    _assert_train_matches_reference(weights, features, labels, by_int)
+    got = local_train(ModelParams(weights), _dataset(features, labels), replace(cfg, seed=preset))
+    want = local_train(ModelParams(weights), _dataset(features, labels), by_int)
+    assert np.array_equal(_bits(got.params.weights), _bits(want.params.weights))
+    assert _bits(got.final_loss) == _bits(want.final_loss)
 
 
 @pytest.mark.parametrize("l2", [0.0, 0.05])
