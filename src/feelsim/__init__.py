@@ -1,6 +1,6 @@
 """feelsim: deterministic simulation of data-aware scheduling for federated edge learning."""
 
-from .datagen import FleetSpec, PartitionSpec, make_classification_pool, make_fleet, make_timeseries, partition
+from .datagen import FleetSpec, PartitionSpec, make_classification_pool, make_fleet, partition
 from .diversity import (
     DissimilarityMetric,
     DiversityConfig,

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         return run_measures(args.csv, args.task, args.embedding_m, args.tolerance_scale)
     try:
         spec = load_config(args.config)
-        seeds = PARSERS[list[int]](args.seeds) if args.seeds else None
+        seeds = PARSERS[list[int]](args.seeds) if args.seeds is not None else None
         spec = spec_with_overrides(spec, out_dir=args.out, seeds=seeds, schedulers=args.scheduler)
     except (FeelsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

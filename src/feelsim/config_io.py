@@ -224,6 +224,6 @@ def spec_with_overrides(
     return replace(
         spec,
         output_dir=out_dir if out_dir is not None else spec.output_dir,
-        seeds=seeds if seeds else spec.seeds,
-        schedulers=schedulers if schedulers else spec.schedulers,
+        seeds=seeds if seeds is not None else spec.seeds,
+        schedulers=schedulers if schedulers is not None else spec.schedulers,
     )

@@ -21,7 +21,6 @@ from .errors import InsufficientPoolError, ValidationError
 
 SKEW_KINDS = ("iid", "dirichlet")
 SIZE_DISTS = ("balanced", "lognormal", "powerlaw")
-TIMESERIES_KINDS = ("sine", "ar_noise", "constant")
 
 
 @dataclass(frozen=True)
@@ -165,31 +164,6 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
 
         datasets.append(LocalDataset("classification", pool.features[rows], pool.labels[rows]))
     return datasets
-
-
-def make_timeseries(kind: str, length: int, noise_std: float = 0.0, seed: int = 0) -> np.ndarray:
-    """One synthetic series: a sine wave, an AR(1) noise process, or a constant."""
-    if kind not in TIMESERIES_KINDS:
-        raise ValidationError("unknown_series_kind", kind)
-    if length < 32:
-        raise ValueError("series length must be >= 32")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
-    rng = np.random.default_rng(seed)
-    if kind == "sine":
-        t = np.arange(length)
-        base = np.sin(2.0 * np.pi * 4.0 * t / length)
-    elif kind == "ar_noise":
-        innovations = rng.standard_normal(length)
-        base = np.empty(length)
-        base[0] = innovations[0]
-        for t in range(1, length):
-            base[t] = 0.6 * base[t - 1] + innovations[t]
-    else:
-        base = np.ones(length)
-    if noise_std > 0:
-        base = base + noise_std * rng.standard_normal(length)
-    return base
 
 
 @dataclass(frozen=True)

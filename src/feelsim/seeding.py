@@ -10,9 +10,11 @@ never perturbs the draws of any other (device, round) pair.
 
 ``substream`` and ``derive_seed`` hash one key with numpy's SeedSequence.
 Where many keys differ only in the device id (a round's ``TRAINING`` seeds,
-a fleet's ``FLEET`` streams), ``substream_seeds`` and ``derived_seeds`` run
-the same hash once over numpy ``uint32`` lanes, one lane per device, and
-hand out each device's PCG64 seeding words as a ``PresetSeed``, from which
+a fleet's ``FLEET`` streams), ``substream_seeds`` and ``derived_seeds`` let
+numpy's SeedSequence hash the words every device shares, the master seed and
+the stream id, once; a lane kernel over numpy ``uint32`` arrays, one lane
+per device, hashes only the id and the key words after it.  Each device's
+PCG64 seeding words come out as a ``PresetSeed``, from which
 ``np.random.default_rng`` builds the Generator of the one-key path, bit for
 bit.
 """
@@ -40,6 +42,7 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_NEXT_WORD = np.uint32(pow(_MULT_A, _POOL_SIZE, 1 << 32))  # from a key word's hash constants to the next word's
 _PCG64_WORDS = 8  # PCG64 seeds from generate_state(4, uint64): eight uint32 words
 
 
@@ -122,62 +125,45 @@ def _column(values: list) -> np.ndarray:
 
 
 def _hashmix(value, const, successor):
-    """numpy's ``hashmix`` of a word or of uint32 lanes; ``successor`` is ``const * MULT_A``."""
+    """numpy's ``hashmix`` of uint32 lanes; ``successor`` is ``const * MULT_A``."""
     value = (value ^ const) * successor
-    if isinstance(value, int):
-        value &= _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """numpy's ``mix`` of two words or of two uint32 lane arrays."""
+    """numpy's ``mix`` of two uint32 lane arrays."""
     result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    if isinstance(result, int):
-        result &= _MASK32
     return result ^ result >> 16
 
 
 @functools.lru_cache(maxsize=16)
 def _spawn_prefix(master_seed: int, stream: int):
-    """numpy's ``mix_entropy`` of the words before the device id, in Python ints.
+    """The pool numpy's ``mix_entropy`` makes of the key words before the device id.
 
-    Returns the pool, the hash constants and successors the id takes, one
-    per pool word, and the hash constant after them.
-
-    With a spawn key, the run entropy is zero-padded to the pool size, so
-    these words fill the pool and the id comes after them.
+    Returns that pool and the hash constants and successors the id takes,
+    one per pool word.  ``mix_entropy`` takes four hash constants per entropy
+    word, and a spawn key zero-pads the run entropy to the four-word pool, so
+    the id's first constant is the ``4 * n``-th after ``_INIT_A``, with ``n``
+    words before the id.
     """
-    run = _words(master_seed)
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + _words(stream)
-    consts = _constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    pool = [_hashmix(entropy[i], consts[i], consts[i + 1]) for i in range(_POOL_SIZE)]
-    at = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at], consts[at + 1]))
-                at += 1
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts[at], consts[at + 1]))
-            at += 1
-    for_id = _constants(consts[at], _MULT_A, _POOL_SIZE)
-    return _column(pool), _column(for_id[:-1]), _column(for_id[1:]), for_id[-1]
+    pool = np.random.SeedSequence(master_seed, spawn_key=(stream,)).pool
+    n = max(len(_words(master_seed)), _POOL_SIZE) + len(_words(stream))
+    for_id = _constants(_INIT_A * pow(_MULT_A, _POOL_SIZE * n, 1 << 32) & _MASK32, _MULT_A, _POOL_SIZE)
+    return _column(pool), _column(for_id[:-1]), _column(for_id[1:])
 
 
 def _spawned_state(master_seed: int, stream: int, ids, rest: tuple, n_words: int) -> np.ndarray:
     """``SeedSequence(master_seed, spawn_key=(stream, id, *rest)).generate_state(n_words)``, one column per id.
 
-    The words before the id are hashed in Python ints, once per (master
-    seed, stream); the id and each word after it are mixed into all four
-    pool words of every lane at once.
+    numpy hashes the words before the id, once per (master seed, stream);
+    the id and each word after it are mixed into all four pool words of
+    every lane at once.
     """
-    pool, const, successor, after = _spawn_prefix(master_seed, stream)
+    pool, const, successor = _spawn_prefix(master_seed, stream)
     lanes = _mix(pool, _hashmix(np.array(ids, dtype=np.uint32), const, successor))
     for word in (w for r in rest for w in _words(r)):
-        consts = _constants(after, _MULT_A, _POOL_SIZE)
-        after = consts[-1]
-        lanes = _mix(lanes, _column([_hashmix(word, a, b) for a, b in zip(consts, consts[1:])]))
+        const, successor = const * _NEXT_WORD, successor * _NEXT_WORD
+        lanes = _mix(lanes, _hashmix(np.uint32(word), const, successor))
     return _generate(lanes, n_words)
 
 

@@ -397,8 +397,17 @@ def test_main_missing_file_exit_code(tmp_path, capsys):
         (["--scheduler", "psychic"], None),
         (["--seeds", "0,0"], None),
         (["--scheduler", "random", "--scheduler", "random"], None),
+        (["--seeds", ""], None),
+        (["--seeds", ","], None),
     ],
-    ids=["unknown_in_file", "unknown_on_command_line", "repeated_seed", "repeated_scheduler"],
+    ids=[
+        "unknown_in_file",
+        "unknown_on_command_line",
+        "repeated_seed",
+        "repeated_scheduler",
+        "empty_seeds",
+        "comma_seeds",
+    ],
 )
 def test_main_rejects_bad_sweep_before_running(tmp_path, capsys, extra, replaced):
     # nothing runs and nothing is written: no partial sweep without a summary

@@ -1,4 +1,4 @@
-"""Synthetic pool, partitioning, time series, and fleet generation."""
+"""Synthetic pool, partitioning, and fleet generation."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from feelsim.datagen import (
     _largest_remainder,
     make_classification_pool,
     make_fleet,
-    make_timeseries,
     partition,
 )
-from feelsim.diversity import sample_entropy, shannon_entropy
+from feelsim.diversity import shannon_entropy
 from feelsim.domain import LocalDataset
 from feelsim.errors import InsufficientPoolError, ValidationError
 from feelsim.learning import TrainConfig, evaluate, init_model, local_train
@@ -188,29 +187,6 @@ def test_partition_is_seed_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.features, pb.features)
         assert np.array_equal(pa.labels, pb.labels)
-
-
-def test_timeseries_kinds_and_length():
-    for kind in ("sine", "ar_noise", "constant"):
-        series = make_timeseries(kind, 128, noise_std=0.0, seed=0)
-        assert series.shape == (128,)
-    with pytest.raises(ValueError):
-        make_timeseries("sine", 16)
-    with pytest.raises(ValidationError):
-        make_timeseries("brownian", 64)
-
-
-def test_sine_more_regular_than_ar_noise():
-    sine = make_timeseries("sine", 256, noise_std=0.0, seed=0)
-    ar = make_timeseries("ar_noise", 256, noise_std=0.0, seed=0)
-    s_sine = sample_entropy(sine, 2, 0.2 * sine.std())
-    s_ar = sample_entropy(ar, 2, 0.2 * ar.std())
-    assert s_sine < s_ar
-
-
-def test_constant_series_is_constant():
-    series = make_timeseries("constant", 64, noise_std=0.0, seed=0)
-    assert np.all(series == series[0])
 
 
 @settings(max_examples=20, deadline=None)

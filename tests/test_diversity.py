@@ -121,6 +121,17 @@ def test_sampen_constant_series_is_zero():
     assert sample_entropy(np.ones(40), m=2, r=0.2) == 0.0
 
 
+def test_sine_more_regular_than_ar_noise():
+    t = np.arange(256)
+    sine = np.sin(2.0 * np.pi * 4.0 * t / 256)
+    innovations = np.random.default_rng(0).standard_normal(256)
+    ar = np.empty(256)
+    ar[0] = innovations[0]
+    for i in range(1, 256):
+        ar[i] = 0.6 * ar[i - 1] + innovations[i]  # AR(1) noise
+    assert sample_entropy(sine, 2, 0.2 * sine.std()) < sample_entropy(ar, 2, 0.2 * ar.std())
+
+
 def test_sampen_ramp_has_no_matches():
     with pytest.raises(NoTemplateMatchesError):
         sample_entropy(np.arange(64.0), m=1, r=0.5)

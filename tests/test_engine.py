@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +178,16 @@ def test_channels_resampled_each_round():
     means = {did: d.channel.mean_snr_db for did, d in state.devices.items()}
     run_round_pre(state)
     assert {did: d.channel.mean_snr_db for did, d in state.devices.items()} == means
+
+
+def test_every_name_the_benchmark_wraps_exists():
+    # the traced benchmark only counts a missing name as absent; here it fails
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    absent = [f"{m}.{a}" for _, m, a, _ in layers.SPANS if not hasattr(importlib.import_module(m), a)]
+    assert absent == []
 
 
 @pytest.mark.parametrize("policy", ["diversity_pre", "diversity_post"])

@@ -8,10 +8,11 @@ import pytest
 from feelsim import seeding
 from feelsim.seeding import PresetSeed, derive_seed, derived_seeds, substream, substream_seeds
 
-# 1, 2, 3 and 5 uint32 words of run entropy; a spawn key pads the short ones to 4
-MASTERS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 3]
+# 1, 2, 3, 4 and 5 uint32 words of run entropy; a spawn key pads those under 4
+MASTERS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 5, 2**130 + 3]
 IDS = [0, 1, 255, 256, 1999, 2**32 - 1]
-ROUNDS = [0, 1, 2**31]
+# the last round is two key words
+ROUNDS = [0, 1, 2**31, 2**32 + 1]
 
 
 def _state(seed: PresetSeed) -> dict:
