@@ -1,0 +1,98 @@
+"""A pinned corpus of runs that the three golden configs miss.
+
+The golden configs have at most 10 devices and 8 rounds.  The configs here
+are built from a fixed list of axes, not drawn at test time:
+
+* post-mode fleets of 255, 256, 257 and 600 devices, which cross the
+  256-device channel blocks and train hundreds of devices in one round
+* batch size 1, and a batch larger than every device's data
+* lognormal dataset sizes, with ragged last minibatches
+* a learning rate at which every device's SGD diverges to NaN weights, under
+  ``fedavg``; under ``loss_weighted`` the same run raises
+  ``DegenerateWeightsError`` in its first aggregation
+
+Each digest is ``test_golden.run_digest`` of the whole run.  As there, a
+digest changes only when the simulated numbers change, and a change that
+alters them on purpose re-pins this file together with ``test_golden.py``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from test_golden import run_digest
+
+from feelsim import DataConfig, FleetSpec, PartitionSpec, SimulationConfig, TrainConfig, run_simulation
+from feelsim.errors import DegenerateWeightsError
+
+
+def _fleet(n_devices: int, policy: str = "diversity_post", rounds: int = 2, seed: int = 0, sigma: float = 1.0, **train):
+    """Small Dirichlet-skewed data, lognormal sizes, about 5 samples per device."""
+    return SimulationConfig(
+        fleet=FleetSpec(n_devices=n_devices),
+        data=DataConfig(
+            n_classes=3,
+            dim=4,
+            samples_per_class=2 * n_devices,
+            partition=PartitionSpec(
+                n_devices=n_devices, skew="dirichlet", alpha=0.5, size_dist="lognormal", size_sigma=sigma
+            ),
+        ),
+        train=TrainConfig(**{"epochs": 2, "batch_size": 4, **train}),
+        policy=policy,
+        k_per_round=10,
+        rounds_max=rounds,
+        master_seed=seed,
+    )
+
+
+def _diverging(aggregation: str) -> SimulationConfig:
+    q = 1.0 if aggregation == "loss_weighted" else 0.0
+    return replace(_fleet(24, seed=7, learning_rate=1e306, l2_reg=0.05), aggregation=aggregation, qffl_q=q)
+
+
+CORPUS = {
+    "post_255": lambda: _fleet(255, seed=1),
+    "post_256": lambda: _fleet(256, seed=2),
+    "post_257": lambda: _fleet(257, seed=3),
+    "post_600": lambda: _fleet(600, seed=4),
+    "post_batch_1": lambda: _fleet(30, rounds=3, seed=5, batch_size=1),
+    "post_batch_above_n": lambda: _fleet(30, rounds=3, seed=6, batch_size=1000, l2_reg=0.05),
+    "pre_batch_1": lambda: _fleet(40, policy="diversity_pre", rounds=4, seed=8, batch_size=1),
+    "random_lognormal_wide": lambda: _fleet(
+        60, policy="random", rounds=4, seed=9, sigma=2.0, epochs=3, batch_size=7, l2_reg=0.05
+    ),
+    "post_diverging_fedavg": lambda: _diverging("fedavg"),
+}
+
+DIGESTS = {
+    "post_255": "26e06073d9e8421518eb3656103b7ad86d9f881f56b50d03fa9fc8b28fef317a",
+    "post_256": "25513f0f92f1550ce94e2e694f6b3f5900638f5286a484bf6609a6f9e87276f7",
+    "post_257": "0654523d6a36e563b4603548d940782d241e13374827bfeac8f3020641d5711e",
+    "post_600": "545423d5f82a6c4b2119c8f9cb7df410a94c2268af293a035f899a38ed76a7cc",
+    "post_batch_1": "20d82dd6b891c3b9b2f4c3ad1154d25a9f5273dca4a9f7038fa9c325038836a8",
+    "post_batch_above_n": "0470d4ae106d05490ed8e14df52ab1e2541e6a5efb501b909c4728071fbc7904",
+    "pre_batch_1": "7a07b141f191587a25e8a31f8b4a6d7b2c65c5ccc2860693a1924e69bfa13f28",
+    "random_lognormal_wide": "f6bd2a1c873a74480efa0269e52a4115d473b441145522c0e76e0caa96135b8e",
+    "post_diverging_fedavg": "79658d72a0b9682a4d7a6318a8ca264c979e469e1c2f394c81a9998ee3fda7f7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_run_matches_corpus_digest(name):
+    with np.errstate(all="ignore"):  # the diverging run overflows on purpose
+        result = run_simulation(CORPUS[name]())
+    assert run_digest(result) == DIGESTS[name]
+
+
+def test_diverging_run_goes_nan():
+    with np.errstate(all="ignore"):
+        result = run_simulation(CORPUS["post_diverging_fedavg"]())
+    assert np.isnan(result.final_model.weights).all()
+
+
+def test_diverging_run_under_loss_weighting_raises():
+    with np.errstate(all="ignore"), pytest.raises(DegenerateWeightsError):
+        run_simulation(_diverging("loss_weighted"))
