@@ -334,17 +334,32 @@ def _pair_indices(group_count: int) -> tuple:
     return pairs
 
 
-def _cosine_dissimilarity(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v) for two flat vectors, bit-equal to the cosine metric.
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, each in the order ``np.add.reduce`` sums a 1-D array.
 
-    Returns a Python float, as the metric does: when both operands of a sum
-    are NaN, Python and numpy scalars keep different ones.
+    That order is numpy's pairwise sum: from 0.0 below 8 terms, in eight
+    interleaved accumulators up to 128 and halved above.  A reduction along
+    an axis of a stacked array may take another order, and other bits, so
+    the stacked model index writes this one out; each step is one vector
+    operation over the trailing axes.
     """
-    nu = np.sqrt(np.add.reduce(u * u))
-    nv = np.sqrt(np.add.reduce(v * v))
-    if nu == 0 or nv == 0:
-        raise UndefinedAngleError("cosine dissimilarity of a zero vector")
-    return float(1.0 - min(max(np.add.reduce(u * v) / (nu * nv), -1.0), 1.0))
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    if n < 8:
+        total = np.zeros(a.shape[1:])
+        for row in a:
+            total += row
+        return total
+    acc = a[:8].copy()
+    stop = n - n % 8
+    for start in range(8, stop, 8):
+        acc += a[start : start + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in a[stop:]:
+        total += row
+    return total
 
 
 def model_diversity_index(local: ModelParams, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> float:
@@ -355,13 +370,48 @@ def model_diversity_index(local: ModelParams, global_model: ModelParams, groupin
 
     with the weights and cap of ``cfg``.  The round loop caps the indices of one
     round at their ``outlier_ceiling`` so single outliers cannot monopolize selection.
+    This is ``model_diversity_indices`` for one model.
     """
-    if local.weights.shape != global_model.weights.shape:
-        raise ShapeMismatchError(f"{local.weights.shape} vs {global_model.weights.shape}")
-    dissim = _cosine_dissimilarity(local.weights, global_model.weights)
-    red = parameter_redundancy(local, grouping)
-    w_div, w_red = cfg.model_dissimilarity_weight, cfg.model_redundancy_weight
-    return float(w_div * dissim + w_red * min(red / cfg.redundancy_cap, 1.0))
+    return model_diversity_indices([local], global_model, grouping, cfg)[0]
+
+
+def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> list:
+    """``model_diversity_index`` of each local model, in one stacked pass.
+
+    Each index is bit for bit the one its model gets alone.  The models are
+    the columns of one array, so every sum over a model's parameters,
+    groups or group pairs is ``_pairwise_sum`` over contiguous rows: the
+    order of ``np.add.reduce`` on one model's 1-D vector.
+    """
+    v = global_model.weights
+    for local in locals_:
+        if local.weights.shape != v.shape:
+            raise ShapeMismatchError(f"{local.weights.shape} vs {v.shape}")
+    if not locals_:
+        return []
+    cols = np.stack([local.weights for local in locals_], axis=1)
+    nu = np.sqrt(_pairwise_sum(cols * cols))
+    nv = np.sqrt(np.add.reduce(v * v))
+    if nv == 0 or (nu == 0).any():
+        raise UndefinedAngleError("cosine dissimilarity of a zero vector")
+    dissim = 1.0 - np.minimum(np.maximum(_pairwise_sum(cols * v[:, None]) / (nu * nv), -1.0), 1.0)
+
+    group_count, group_size = grouping
+    if group_count < 1 or group_size < 1 or group_count * group_size != v.size:
+        raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {v.size}")
+    if group_count == 1:
+        red = np.zeros(len(locals_))
+    else:
+        groups = cols.reshape(group_count, group_size, -1).transpose(1, 0, 2)  # (group_size, group_count, models)
+        norms = []  # pair norms in np.triu_indices order, the pairs of one first group at a time
+        for first in range(group_count - 1):
+            diffs = groups[:, first, None] - groups[:, first + 1 :]
+            diffs *= diffs
+            norms.append(np.sqrt(_pairwise_sum(diffs)))
+        red = _pairwise_sum(np.concatenate(norms)) / (group_count * (group_count - 1) // 2)
+    w_div, w_red, cap = cfg.model_dissimilarity_weight, cfg.model_redundancy_weight, cfg.redundancy_cap
+    # the blend in Python floats, as a lone model's: Python and numpy keep different NaNs of a NaN + NaN
+    return [float(w_div * d + w_red * min(r / cap, 1.0)) for d, r in zip(dissim.tolist(), red.tolist())]
 
 
 def outlier_ceiling(values: Sequence[float], percentile: float) -> float:

@@ -21,7 +21,8 @@ from .datagen import FleetSpec, PartitionSpec, make_classification_pool, make_fl
 from .diversity import (
     DiversityConfig,
     dataset_diversity_index,
-    model_diversity_index,
+    model_diversity_index,  # not called here: perfbench/layers.py wraps this name
+    model_diversity_indices,
     outlier_ceiling,
 )
 from .domain import (
@@ -35,7 +36,15 @@ from .domain import (
     require_finite,
 )
 from .errors import ValidationError
-from .learning import TrainConfig, aggregate_fedavg, aggregate_loss_weighted, evaluate, init_model, local_train
+from .learning import (
+    TrainConfig,
+    aggregate_fedavg,
+    aggregate_loss_weighted,
+    evaluate,
+    init_model,
+    local_train,  # not called here: perfbench/layers.py wraps this name
+    train_many,
+)
 from .network import NetworkConfig, channel_rate, compute_time, energy_compute, energy_transmit, resample_channel
 from .scheduler import (
     ConstraintConfig,
@@ -204,15 +213,14 @@ def _train(state: SimulationState, devices: list) -> dict:
     """Each device's local update from the current global model, by id.
 
     A device trains with the shuffles of ``derive_seed(master_seed, TRAINING,
-    id, round)``; the round's seeds are derived in one pass.
+    id, round)``; the round's seeds are derived in one pass, and its devices
+    train in lockstep.
     """
     cfg = state.cfg
-    seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, [dev.id for dev in devices], state.round)
-    updates = {}
-    for dev, seed in zip(devices, seeds):
-        tcfg = replace(cfg.train, seed=seed)
-        updates[dev.id] = local_train(state.model, dev.dataset, tcfg, device_id=dev.id)
-    return updates
+    ids = [dev.id for dev in devices]
+    seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, ids, state.round)
+    updates = train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds), ids)
+    return dict(zip(ids, updates))
 
 
 def _drain(dev: DeviceProfile, joules: float) -> float:
@@ -226,11 +234,11 @@ def _model_indices(state: SimulationState, updates: dict) -> dict:
     """Each trained device's reported model-diversity index, capped at the round's outlier ceiling."""
     data = state.cfg.data
     grouping = (data.n_classes, data.dim + 1)
-    raw = {did: model_diversity_index(upd.params, state.model, grouping, data.diversity) for did, upd in updates.items()}
+    raw = model_diversity_indices([upd.params for upd in updates.values()], state.model, grouping, data.diversity)
     if not raw:
         return {}
-    ceiling = outlier_ceiling(list(raw.values()), data.diversity.outlier_percentile)
-    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in raw.items()}
+    ceiling = outlier_ceiling(raw, data.diversity.outlier_percentile)
+    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in zip(updates, raw)}
 
 
 def _schedule(state: SimulationState, eligible: list, updates: dict) -> ScheduleDecision:

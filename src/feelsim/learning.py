@@ -3,10 +3,13 @@
 The model is multinomial logistic regression stored as one flat vector of
 length n_classes * (dim + 1): one (weights | bias) block per class.  Local
 training is plain mini-batch SGD on softmax cross-entropy with an optional L2
-penalty on the non-bias weights.  Aggregation is sample-count weighted
-averaging, with a loss-reweighted variant that favors poorly served devices;
-the reduction always runs in ascending device id so results are
-bit-deterministic regardless of caller ordering.
+penalty on the non-bias weights.  A round's devices train in lockstep
+(``train_many``): at each global step, the devices whose minibatch has the
+same length take one stacked step, and every device ends with the bits it
+gets training alone (``local_train``, the one-device call).  Aggregation is
+sample-count weighted averaging, with a loss-reweighted variant that favors
+poorly served devices; the reduction always runs in ascending device id so
+results are bit-deterministic regardless of caller ordering.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .errors import (
 class TrainConfig:
     """Local SGD settings.
 
-    ``seed`` is what ``np.random.default_rng`` takes for the per-epoch
-    shuffles: an int, or an ``ISeedSequence`` such as the ``PresetSeed`` the
-    engine derives per device and round, which gives the same shuffles as
-    the int seed it was derived from.
+    ``seed`` is what ``np.random.default_rng`` takes for ``local_train``'s
+    per-epoch shuffles: an int, or an ``ISeedSequence`` such as the
+    ``PresetSeed`` the engine derives per device and round, which gives the
+    same shuffles as the int seed it was derived from.  ``train_many`` takes
+    one such seed per device in its place.
     """
 
     epochs: int = 1
@@ -102,37 +106,45 @@ def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:
     return ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
 
 
-def _gradient_into(grad, w_mat, exp, z, onehot, features, l2_reg: float) -> None:
-    """Write the flat gradient, as a (k, dim+1) block, into ``grad``.
+def _gradients(w: np.ndarray, xb: np.ndarray, yb: np.ndarray, l2_reg: float) -> np.ndarray:
+    """The loss gradient of each slice of a stack: (G, k, dim+1) blocks.
 
-    Consumes ``exp`` as scratch.  Subtracting the one-hot rows equals
-    subtracting 1 at each label: x - 0.0 == x for every float.
+    Slice g is the gradient at weights ``w[g]`` on the rows ``xb[g]`` with
+    labels ``yb[g]``, bit for bit what it is with G = 1: each product is a
+    stack of per-slice products, which numpy computes slice by slice with
+    the same gemm call, and each sum runs along the same contiguous axis as
+    it does for one slice.  Subtracting 1 at each label equals subtracting a
+    one-hot row, since x - 0.0 == x for every float.
     """
-    dim = features.shape[1]
-    probs = exp
-    probs /= z[:, None]
-    probs -= onehot
-    probs /= features.shape[0]
-    grad_w = grad[:, :dim]
-    np.matmul(probs.T, features, out=grad_w)
+    n, dim = xb.shape[1:]
+    w_mat = w[:, :, :dim]
+    probs = xb @ w_mat.transpose(0, 2, 1)
+    probs += w[:, None, :, dim]
+    probs -= np.maximum.reduce(probs, axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=2)[:, :, None]
+    probs.reshape(yb.size, -1)[np.arange(yb.size), yb.ravel()] -= 1.0
+    probs /= n
+    grad = np.empty_like(w)
+    grad_w = grad[:, :, :dim]
+    np.matmul(probs.transpose(0, 2, 1), xb, out=grad_w)
     grad_w += l2_reg * w_mat
-    np.add.reduce(probs, axis=0, out=grad[:, dim])
+    np.add.reduce(probs, axis=1, out=grad[:, :, dim])
+    return grad
 
 
 def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_reg: float):
     """Mean softmax cross-entropy plus 0.5 * l2 * ||W||^2, and its gradient.
 
     The penalty covers class weights only, never biases.  Returns
-    (loss, flat gradient).
+    (loss, flat gradient).  The gradient is the one every SGD step takes.
     """
     dim = features.shape[1]
     w_mat, bias = _unpack(weights, dim)
-    logits, exp, z = _softmax(features, w_mat, bias)
+    logits, _, z = _softmax(features, w_mat, bias)
     loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
-    k = w_mat.shape[0]
-    grad = np.empty((k, dim + 1))
-    _gradient_into(grad, w_mat, exp, z, np.eye(k)[labels], features, l2_reg)
-    return loss, grad.ravel()
+    blocks = weights.reshape(1, -1, dim + 1)
+    return loss, _gradients(blocks, features[None], labels[None], l2_reg).ravel()
 
 
 def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device_id: int = 0) -> Update:
@@ -142,35 +154,90 @@ def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device
     (model, data, config) triple always produces the identical update.
     ``final_loss`` is the mean cross-entropy over the local data after the
     last step (the penalty term at l2 = 0), which is what loss-weighted
-    aggregation consumes.
-
-    Each step updates one weight vector in place from one gradient buffer
-    and computes no loss; every bit equals ``w = w - lr * loss_and_grad(w,
-    batch)[1]`` step by step.
+    aggregation consumes.  This is ``train_many`` for one device.
     """
-    if data.task_kind != "classification" or data.n_samples == 0:
-        raise EmptyDatasetError("local training needs a non-empty classification set")
-    features, labels = data.features, data.labels
-    n, dim = features.shape
-    w = model.weights.copy()
-    w_mat, bias = _unpack(w, dim)
-    grad = np.empty((w_mat.shape[0], dim + 1))
-    flat_grad = grad.reshape(-1)
-    eye = np.eye(w_mat.shape[0])
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        shuffled, onehot = features[order], eye[labels[order]]
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            batch = shuffled[start:stop]
-            _, exp, z = _softmax(batch, w_mat, bias)
-            _gradient_into(grad, w_mat, exp, z, onehot[start:stop], batch, cfg.l2_reg)
-            flat_grad *= cfg.learning_rate
-            w -= flat_grad
-    logits, _, z = _softmax(features, w_mat, bias)
-    final_loss = _penalized(_cross_entropy(logits, z, labels), 0.0, w_mat)
-    return Update(params=ModelParams(w), n_samples=n, final_loss=final_loss, device_id=device_id)
+    return train_many(model, [data], cfg, [cfg.seed], [device_id])[0]
+
+
+def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list, device_ids: list) -> list:
+    """``local_train`` of many devices from one model, in lockstep; one Update each.
+
+    Device i trains on ``datasets[i]`` with the shuffles of
+    ``np.random.default_rng(seeds[i])`` and reports ``device_ids[i]``;
+    ``cfg.seed`` is not read.  Every device's update is bit for bit the one
+    it gets when it trains alone, whichever devices train beside it: ``w =
+    w - lr * loss_and_grad(w, batch)[1]`` step by step.
+
+    At global step t, the devices whose t-th minibatch has the same length
+    take one stacked step (``_gradients``).  A step's rows are gathered
+    through an index into one concatenation of the devices' data, so no
+    shuffled copy of a dataset is made.
+    """
+    for data in datasets:
+        if data.task_kind != "classification" or data.n_samples == 0:
+            raise EmptyDatasetError("local training needs a non-empty classification set")
+    if not datasets:
+        return []
+    dim = datasets[0].features.shape[1]
+    _unpack(model.weights, dim)  # raises unless the model fits the data
+    sizes = np.array([data.n_samples for data in datasets])
+    order = _shuffled_rows(sizes, seeds, cfg.epochs)
+    device, first, length, edges = _lockstep_steps(sizes, cfg.batch_size, cfg.epochs)
+    features = np.concatenate([data.features for data in datasets])
+    labels = np.concatenate([data.labels for data in datasets])
+    weights = np.tile(model.weights, (len(datasets), 1)).reshape(len(datasets), -1, dim + 1)
+    for lo, hi in zip(edges, edges[1:]):
+        ids = device[lo:hi]
+        rows = order[first[lo:hi, None] + np.arange(length[lo])]
+        w = weights[ids]
+        grad = _gradients(w, features[rows], labels[rows], cfg.l2_reg)
+        grad *= cfg.learning_rate
+        w -= grad
+        weights[ids] = w
+
+    updates = []
+    for w, data, device_id in zip(weights, datasets, device_ids, strict=True):
+        w_mat = w[:, :dim]
+        logits, _, z = _softmax(data.features, w_mat, w[:, dim])
+        final_loss = _penalized(_cross_entropy(logits, z, data.labels), 0.0, w_mat)
+        updates.append(Update(ModelParams(w.ravel()), data.n_samples, final_loss, device_id))
+    return updates
+
+
+def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:
+    """Every device's epochs of shuffles in a row, as rows of the devices' concatenated data.
+
+    Device i draws each epoch's ``permutation`` from its own
+    ``default_rng(seeds[i])``, in the order ``local_train`` draws them.
+    """
+    shuffles = []
+    for n, seed in zip(sizes.tolist(), seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        shuffles += [rng.permutation(n) for _ in range(epochs)]
+    order = np.concatenate(shuffles)
+    order += np.repeat(np.cumsum(sizes) - sizes, epochs * sizes)
+    return order
+
+
+def _lockstep_steps(sizes: np.ndarray, batch: int, epochs: int) -> tuple:
+    """Every device's SGD steps, grouped into the stacked steps that run them.
+
+    Returns, one entry per device and step, the device, where the step's
+    minibatch starts in ``_shuffled_rows`` and its length, sorted by step
+    index and then length; and the edges of the runs of equal step and
+    length, each one stacked step.
+    """
+    per_epoch = -(-sizes // batch)
+    steps = epochs * per_epoch
+    device = np.repeat(np.arange(sizes.size), steps)
+    step = np.arange(device.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    epoch, slot = np.divmod(step, per_epoch[device])
+    length = np.where(slot == per_epoch[device] - 1, sizes[device] - slot * batch, batch)
+    first = epochs * (np.cumsum(sizes) - sizes)[device] + epoch * sizes[device] + slot * batch
+    ranked = np.lexsort((length, step))
+    step, length = step[ranked], length[ranked]
+    edges = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
+    return device[ranked], first[ranked], length, [0, *edges.tolist(), step.size]
 
 
 def evaluate(model: ModelParams, test: LocalDataset):

@@ -18,7 +18,9 @@ from feelsim.diversity import (
     entropy_tolerance,
     gini_simpson,
     mean_pairwise_dissimilarity,
+    _pairwise_sum,
     model_diversity_index,
+    model_diversity_indices,
     model_global_dissimilarity,
     outlier_ceiling,
     parameter_redundancy,
@@ -420,6 +422,85 @@ def test_model_diversity_index_keeps_its_checks():
         model_diversity_index(p, _params(np.ones(4)), (2, 3), cfg)
     with pytest.raises(ShapeMismatchError):
         model_diversity_index(p, p, (4, 2), cfg)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_pairwise_sum_is_the_order_of_a_1d_add_reduce():
+    rng = np.random.default_rng(8)
+    # one NaN, the one arithmetic makes: which of two different NaNs a sum keeps is up to numpy's compiled loop
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.inf - np.inf, 1e308, -1e308, 5e-324])
+    for n in [*range(0, 40), 63, 64, 65, 127, 128, 129, 130, 136, 255, 256, 257, 300]:
+        cols = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-8, 8, size=(n, 12))
+        if n:
+            cols[rng.integers(0, n, size=4), 8:] = rng.choice(special, size=(4, 4))  # last four columns: IEEE corner cases
+        with np.errstate(all="ignore"):
+            got = _pairwise_sum(cols)
+            want = [np.add.reduce(np.ascontiguousarray(cols[:, c])) for c in range(12)]
+        assert np.array_equal(_bits(got), _bits(want)), n
+
+
+def _post_fleet_updates(count, grouping, seed):
+    """A global model and ``count`` local models spread around it at scales from 1e-9 to 1e2."""
+    rng = np.random.default_rng(seed)
+    size = grouping[0] * grouping[1]
+    ref = rng.uniform(-0.25, 0.25, size=size)
+    scales = 10.0 ** rng.uniform(-9.0, 2.0, size=(count, 1))
+    return _params(ref), [_params(w) for w in ref + rng.normal(size=(count, size)) * scales]
+
+
+@pytest.mark.parametrize(
+    "count, grouping",
+    [(300, (6, 17)), (40, (10, 17)), (40, (2, 3)), (40, (1, 5))],  # post_fleet's shape; 170 parameters take the halving branch
+)
+def test_model_diversity_indices_are_each_models_own(count, grouping):
+    ref, locals_ = _post_fleet_updates(count, grouping, seed=grouping[0])
+    cosine = DissimilarityMetric("cosine")
+    for weights, cap in (((0.7, 0.3), 1.0), ((0.25, 0.75), 0.05)):
+        cfg = DiversityConfig(model_dissimilarity_weight=weights[0], model_redundancy_weight=weights[1], redundancy_cap=cap)
+        got = model_diversity_indices(locals_, ref, grouping, cfg)
+        alone = [model_diversity_index(local, ref, grouping, cfg) for local in locals_]
+        blend = [
+            weights[0] * model_global_dissimilarity(local, ref, cosine)
+            + weights[1] * min(parameter_redundancy(local, grouping) / cap, 1.0)
+            for local in locals_
+        ]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(_bits(got), _bits(alone))
+        assert np.array_equal(_bits(got), _bits(blend))
+
+
+def test_model_diversity_indices_keep_nan_bits():
+    ref, locals_ = _post_fleet_updates(40, (6, 17), seed=3)
+    rng = np.random.default_rng(4)
+    poisoned = []
+    for i, local in enumerate(locals_):  # every other model holds NaNs as a diverged SGD leaves them, and infinities
+        w = local.weights.copy()
+        if i % 2:
+            w[rng.integers(0, w.size, size=3)] = rng.choice([np.inf - np.inf, np.inf, -np.inf], size=3)
+        poisoned.append(_params(w))
+    cfg = DiversityConfig()
+    with np.errstate(invalid="ignore"):
+        got = model_diversity_indices(poisoned, ref, (6, 17), cfg)
+        alone = [model_diversity_index(local, ref, (6, 17), cfg) for local in poisoned]
+    assert sum(math.isnan(v) for v in got) == 20
+    assert np.array_equal(_bits(got), _bits(alone))
+
+
+def test_model_diversity_indices_keep_their_checks():
+    ref, locals_ = _post_fleet_updates(5, (2, 3), seed=1)
+    cfg = DiversityConfig()
+    assert model_diversity_indices([], ref, (2, 3), cfg) == []
+    with pytest.raises(UndefinedAngleError):
+        model_diversity_indices([*locals_, _params(np.zeros(6))], ref, (2, 3), cfg)
+    with pytest.raises(UndefinedAngleError):
+        model_diversity_indices(locals_, _params(np.zeros(6)), (2, 3), cfg)
+    with pytest.raises(ShapeMismatchError):
+        model_diversity_indices([*locals_, _params(np.ones(4))], ref, (2, 3), cfg)
+    with pytest.raises(ShapeMismatchError):
+        model_diversity_indices(locals_, ref, (4, 2), cfg)
 
 
 @pytest.mark.parametrize("cap", ["uncertainty_cap", "redundancy_cap"])

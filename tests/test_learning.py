@@ -23,6 +23,7 @@ from feelsim.learning import (
     init_model,
     local_train,
     loss_and_grad,
+    train_many,
 )
 
 
@@ -225,6 +226,97 @@ def test_loss_and_grad_is_bitwise_the_reference_kernel(n, l2):
             want_loss, want_grad = oracles.reference_loss_and_grad(weights * scale, features, labels, l2)
         assert _bits(loss) == _bits(want_loss)
         assert np.array_equal(_bits(grad), _bits(want_grad))
+
+
+# ------------------------------------------------------- lockstep training
+
+RAGGED = (1, 2, 3, 16, 17, 31, 64)
+
+
+def _fleet(sizes, n_classes=4, dim=5, seed=0, scale=1.0):
+    """One model's weights and a dataset per size, each drawn at its own scale."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(n_classes * (dim + 1))
+    datasets = [
+        _dataset(rng.standard_normal((n, dim)) * scale * 10.0 ** rng.uniform(-1, 1), rng.integers(0, n_classes, size=n))
+        for n in sizes
+    ]
+    return weights, datasets
+
+
+def _assert_each_device_trains_as_alone(weights, datasets, cfg, seeds, ids):
+    """train_many equals the plain SGD loop and local_train for every device, NaN bits included."""
+    got = train_many(ModelParams(weights), datasets, cfg, seeds, ids)
+    assert len(got) == len(datasets)
+    for upd, data, seed, device_id in zip(got, datasets, seeds, ids):
+        want_w, want_loss = oracles.reference_local_train(
+            weights, data.features, data.labels, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.l2_reg, seed
+        )
+        alone = local_train(ModelParams(weights), data, replace(cfg, seed=seed), device_id=device_id)
+        assert (upd.device_id, upd.n_samples) == (device_id, data.n_samples) == (alone.device_id, alone.n_samples)
+        assert np.array_equal(_bits(upd.params.weights), _bits(want_w))
+        assert np.array_equal(_bits(upd.params.weights), _bits(alone.params.weights))
+        assert _bits(upd.final_loss) == _bits(want_loss) == _bits(alone.final_loss)
+    return got
+
+
+@pytest.mark.parametrize("batch", [1, 7, 16, 100])  # 100 is above every size
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_train_many_trains_ragged_devices_each_as_alone(l2, batch):
+    sizes = RAGGED + RAGGED[::-1]  # equal sizes share every stacked step
+    weights, datasets = _fleet(sizes, seed=batch)
+    cfg = TrainConfig(epochs=2, batch_size=batch, learning_rate=0.1, l2_reg=l2)
+    _assert_each_device_trains_as_alone(weights, datasets, cfg, list(range(50, 50 + len(sizes))), list(range(len(sizes))))
+
+
+def test_train_many_takes_the_engines_preset_seeds():
+    weights, datasets = _fleet(RAGGED, seed=3)
+    ids = [9, 4, 7, 0, 2, 5, 8]
+    presets = list(seeding.derived_seeds(5, seeding.TRAINING, ids, 2))
+    by_int = [seeding.derive_seed(5, seeding.TRAINING, i, 2) for i in ids]
+    cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.1)
+    got = _assert_each_device_trains_as_alone(weights, datasets, cfg, by_int, ids)
+    for a, b in zip(got, train_many(ModelParams(weights), datasets, cfg, presets, ids)):
+        assert np.array_equal(_bits(a.params.weights), _bits(b.params.weights))
+        assert _bits(a.final_loss) == _bits(b.final_loss)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_train_many_diverging_devices_keep_their_nan_bits(l2):
+    sizes = [int(n) for n in np.random.default_rng(1).integers(1, 40, size=24)]
+    weights, datasets = _fleet(sizes, seed=2, scale=50.0)
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e306, l2_reg=l2)
+    with np.errstate(all="ignore"):
+        got = _assert_each_device_trains_as_alone(weights, datasets, cfg, list(range(len(sizes))), list(range(len(sizes))))
+    assert all(math.isnan(u.final_loss) for u in got)
+
+
+def test_train_many_device_is_the_same_alone_in_a_crowd_and_in_any_order():
+    sizes = [int(n) for n in np.random.default_rng(4).lognormal(math.log(20), 1.0, size=300).round().clip(1, None)]
+    weights, datasets = _fleet(sizes, n_classes=6, dim=16, seed=5)
+    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1)
+    seeds, ids = list(range(1000, 1300)), list(range(300))
+    crowd = train_many(ModelParams(weights), datasets, cfg, seeds, ids)
+    perm = np.random.default_rng(6).permutation(300).tolist()
+    shuffled = train_many(ModelParams(weights), [datasets[i] for i in perm], cfg, [seeds[i] for i in perm], perm)
+    for upd in shuffled:
+        assert np.array_equal(_bits(upd.params.weights), _bits(crowd[upd.device_id].params.weights))
+        assert _bits(upd.final_loss) == _bits(crowd[upd.device_id].final_loss)
+    for i in (0, 17, 299):
+        (alone,) = train_many(ModelParams(weights), [datasets[i]], cfg, [seeds[i]], [i])
+        assert np.array_equal(_bits(alone.params.weights), _bits(crowd[i].params.weights))
+        assert _bits(alone.final_loss) == _bits(crowd[i].final_loss)
+
+
+def test_train_many_of_no_devices_is_empty():
+    assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), [], []) == []
+
+
+def test_train_many_refuses_an_empty_dataset_among_others():
+    weights, datasets = _fleet([3, 5])
+    empty = LocalDataset("classification", np.zeros((0, 5)), np.zeros(0, dtype=int))
+    with pytest.raises(EmptyDatasetError):
+        train_many(ModelParams(weights), [*datasets, empty], TrainConfig(), [0, 1, 2], [0, 1, 2])
 
 
 # ------------------------------------------------------------------ evaluate
