@@ -14,7 +14,8 @@ Model diversity compares a locally trained parameter vector against the
 global model: a dissimilarity term (how far the local model moved) plus a
 parameter-redundancy term (an L2,1 norm over pairwise differences of
 parameter groups), weighted as a checked DiversityConfig says.  Only scalar
-indices ever leave the device.
+indices ever leave the device.  A round's indices are one stacked pass
+(``model_diversity_indices``), each bit for bit what its model gets alone.
 
 All functions are pure and bit-reproducible given identical inputs and seeds.
 """
@@ -311,11 +312,7 @@ def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
     the number of rows.  Zero when all groups are identical; grows as groups
     spread apart.
     """
-    group_count, group_size = grouping
-    if group_count < 1 or group_size < 1 or group_count * group_size != params.weights.size:
-        raise ShapeMismatchError(
-            f"grouping {grouping} does not tile a vector of length {params.weights.size}"
-        )
+    group_count, group_size = _tiling(grouping, params.weights.size)
     if group_count == 1:
         return 0.0
     groups = params.weights.reshape(group_count, group_size)
@@ -323,6 +320,14 @@ def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
     diffs = groups[i] - groups[j]
     # the row norms np.linalg.norm(diffs, axis=1) computes, without its wrapper
     return float(np.sqrt(np.add.reduce(diffs * diffs, axis=1)).sum() / diffs.shape[0])
+
+
+def _tiling(grouping: tuple, size: int) -> tuple:
+    """``grouping`` as (group_count, group_size); raises unless it tiles a vector of ``size``."""
+    group_count, group_size = grouping
+    if group_count < 1 or group_size < 1 or group_count * group_size != size:
+        raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {size}")
+    return group_count, group_size
 
 
 @lru_cache(maxsize=None)
@@ -396,9 +401,7 @@ def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: 
         raise UndefinedAngleError("cosine dissimilarity of a zero vector")
     dissim = 1.0 - np.minimum(np.maximum(_pairwise_sum(cols * v[:, None]) / (nu * nv), -1.0), 1.0)
 
-    group_count, group_size = grouping
-    if group_count < 1 or group_size < 1 or group_count * group_size != v.size:
-        raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {v.size}")
+    group_count, group_size = _tiling(grouping, v.size)
     if group_count == 1:
         red = np.zeros(len(locals_))
     else:

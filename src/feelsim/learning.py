@@ -88,11 +88,10 @@ def _unpack(weights: np.ndarray, dim: int):
 
 
 def _softmax(features: np.ndarray, w_mat: np.ndarray, bias: np.ndarray):
-    """Logits shifted so each row's max is 0, their exponentials, row sums."""
+    """Logits shifted so each row's max is 0, and the row sums of their exponentials."""
     logits = features @ w_mat.T + bias
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    exp = np.exp(logits)
-    return logits, exp, np.add.reduce(exp, axis=1)
+    return logits, np.add.reduce(np.exp(logits), axis=1)
 
 
 def _cross_entropy(logits: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
@@ -141,7 +140,7 @@ def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
     """
     dim = features.shape[1]
     w_mat, bias = _unpack(weights, dim)
-    logits, _, z = _softmax(features, w_mat, bias)
+    logits, z = _softmax(features, w_mat, bias)
     loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
     blocks = weights.reshape(1, -1, dim + 1)
     return loss, _gradients(blocks, features[None], labels[None], l2_reg).ravel()
@@ -198,7 +197,7 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     updates = []
     for w, data, device_id in zip(weights, datasets, device_ids, strict=True):
         w_mat = w[:, :dim]
-        logits, _, z = _softmax(data.features, w_mat, w[:, dim])
+        logits, z = _softmax(data.features, w_mat, w[:, dim])
         final_loss = _penalized(_cross_entropy(logits, z, data.labels), 0.0, w_mat)
         updates.append(Update(ModelParams(w.ravel()), data.n_samples, final_loss, device_id))
     return updates
@@ -245,7 +244,7 @@ def evaluate(model: ModelParams, test: LocalDataset):
     if test.task_kind != "classification" or test.n_samples == 0:
         raise EmptyDatasetError("evaluation needs a non-empty classification set")
     w_mat, bias = _unpack(model.weights, test.features.shape[1])
-    logits, _, z = _softmax(test.features, w_mat, bias)
+    logits, z = _softmax(test.features, w_mat, bias)
     loss = _cross_entropy(logits, z, test.labels)
     accuracy = float((logits.argmax(axis=1) == test.labels).mean())
     return accuracy, loss
