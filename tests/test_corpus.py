@@ -5,8 +5,15 @@ are built from a fixed list of axes, not drawn at test time:
 
 * post-mode fleets of 255, 256, 257 and 600 devices, which cross the
   256-device channel blocks and train hundreds of devices in one round
-* batch size 1, and a batch larger than every device's data
+* batch size 1, a batch equal to every device's data, and a batch larger
+  than every device's data
 * lognormal dataset sizes, with ragged last minibatches
+* the ``data_size`` and ``age_fair`` policies, and bandwidth shared by
+  ``equalize_completion`` beside the ``equal`` split the others use
+* ``loss_weighted`` aggregation at q = 2 in post mode, where 5 of 60 trained
+  devices upload
+* rounds aborted by drained batteries and by a deadline, in post mode, where
+  the devices that trained upload nothing
 * a learning rate at which every device's SGD diverges to NaN weights, under
   ``fedavg``; under ``loss_weighted`` the same run raises
   ``DegenerateWeightsError`` in its first aggregation
@@ -24,7 +31,17 @@ import numpy as np
 import pytest
 from test_golden import run_digest
 
-from feelsim import DataConfig, FleetSpec, PartitionSpec, SimulationConfig, TrainConfig, run_simulation
+from feelsim import (
+    ConstraintConfig,
+    DataConfig,
+    FleetSpec,
+    NetworkConfig,
+    PartitionSpec,
+    SimulationConfig,
+    TrainConfig,
+    run_simulation,
+)
+from feelsim.engine import build_state
 from feelsim.errors import DegenerateWeightsError
 
 
@@ -53,6 +70,18 @@ def _diverging(aggregation: str) -> SimulationConfig:
     return replace(_fleet(24, seed=7, learning_rate=1e306, l2_reg=0.05), aggregation=aggregation, qffl_q=q)
 
 
+def _drained() -> SimulationConfig:
+    """50 mJ batteries: after three rounds fewer than k devices keep 30% charge."""
+    cfg = _fleet(40, rounds=5, seed=15)
+    drained = replace(cfg.fleet, capacity_joules=0.05)
+    return replace(cfg, fleet=drained, constraints=ConstraintConfig(min_battery=0.3, min_participants=10))
+
+
+def _deadline() -> SimulationConfig:
+    """A 9.5 s deadline at an equal share of the band: in one round, fading leaves fewer than k devices in time."""
+    return replace(_fleet(40, rounds=5, seed=16), constraints=ConstraintConfig(completion_threshold=9.5, min_participants=10))
+
+
 CORPUS = {
     "post_255": lambda: _fleet(255, seed=1),
     "post_256": lambda: _fleet(256, seed=2),
@@ -65,6 +94,18 @@ CORPUS = {
         60, policy="random", rounds=4, seed=9, sigma=2.0, epochs=3, batch_size=7, l2_reg=0.05
     ),
     "post_diverging_fedavg": lambda: _diverging("fedavg"),
+    "post_loss_weighted_q2": lambda: replace(
+        _fleet(60, rounds=3, seed=10, l2_reg=0.01), aggregation="loss_weighted", qffl_q=2.0, k_per_round=5
+    ),
+    "data_size": lambda: _fleet(40, policy="data_size", rounds=3, seed=12),
+    "age_fair": lambda: _fleet(40, policy="age_fair", rounds=4, seed=13),
+    "pre_equalize_completion": lambda: replace(
+        _fleet(50, policy="diversity_pre", rounds=3, seed=14),
+        network=NetworkConfig(allocation_strategy="equalize_completion"),
+    ),
+    "post_battery_abort": _drained,
+    "post_deadline_abort": _deadline,
+    "post_batch_equal_n": lambda: _fleet(30, rounds=3, seed=17, sigma=0.0, batch_size=4),  # every device has 4 rows
 }
 
 DIGESTS = {
@@ -77,6 +118,13 @@ DIGESTS = {
     "pre_batch_1": "7a07b141f191587a25e8a31f8b4a6d7b2c65c5ccc2860693a1924e69bfa13f28",
     "random_lognormal_wide": "f6bd2a1c873a74480efa0269e52a4115d473b441145522c0e76e0caa96135b8e",
     "post_diverging_fedavg": "79658d72a0b9682a4d7a6318a8ca264c979e469e1c2f394c81a9998ee3fda7f7",
+    "post_loss_weighted_q2": "f6d040682895e0ef6ecbffcbde279164baf1f656349494268ed76ef72b5f2414",
+    "data_size": "c9572c96f62c6a3e5770969f6273918e6a84efee76d969e01a5ac10002e59068",
+    "age_fair": "3c1b12ac482336183ed94160d7bdb6f05e6732fc11c1b13fb886c039f74290dd",
+    "pre_equalize_completion": "06205c36251e25c01b295eacead9ce301fa78bd5a82a800650bbb7252350efdd",
+    "post_battery_abort": "39d31aed7b2d63b587e62115b30c064964390db7409ef8fcafe0f6487a5a4de9",
+    "post_deadline_abort": "7a5ae7e3f18c2b50e3cecf22629254d9c52c77dd1d466396f2441f816d46d26c",
+    "post_batch_equal_n": "5278a296e9dbf8405007f8e3da838c49793171aa27d00d31413f72af2a6d3487",
 }
 
 
@@ -96,3 +144,24 @@ def test_diverging_run_goes_nan():
 def test_diverging_run_under_loss_weighting_raises():
     with np.errstate(all="ignore"), pytest.raises(DegenerateWeightsError):
         run_simulation(_diverging("loss_weighted"))
+
+
+@pytest.mark.parametrize("name", ["post_battery_abort", "post_deadline_abort"])
+def test_abort_runs_abort_some_rounds_and_train_in_them(name):
+    rounds = run_simulation(CORPUS[name]()).rounds
+    aborted = [r for r in rounds if r.aborted]
+    assert 0 < len(aborted) < len(rounds)
+    assert all(r.device_energy for r in aborted)  # post mode: the eligible devices trained and paid
+
+
+def test_loss_weighted_run_uploads_few_of_the_devices_it_trains():
+    cfg = CORPUS["post_loss_weighted_q2"]()
+    for record in run_simulation(cfg).rounds:
+        assert len(record.participants) == cfg.k_per_round
+        assert len(record.device_energy) >= 10 * cfg.k_per_round  # every eligible device trained and paid
+
+
+def test_batch_equal_n_run_gives_every_device_one_batch_of_its_data():
+    cfg = CORPUS["post_batch_equal_n"]()
+    sizes = {dev.dataset.n_samples for dev in build_state(cfg).devices.values()}
+    assert sizes == {cfg.train.batch_size}
