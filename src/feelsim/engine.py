@@ -44,6 +44,7 @@ from .learning import (
     init_model,
     local_train,  # not called here: perfbench/layers.py wraps this name
     train_many,
+    upload,
 )
 from .network import NetworkConfig, channel_rate, compute_time, energy_compute, energy_transmit, resample_channel
 from .scheduler import (
@@ -210,7 +211,7 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
 
 
 def _train(state: SimulationState, devices: list) -> dict:
-    """Each device's local update from the current global model, by id.
+    """Each device's locally trained model from the current global model, by id.
 
     A device trains with the shuffles of ``derive_seed(master_seed, TRAINING,
     id, round)``; the round's seeds are derived in one pass, and its devices
@@ -219,8 +220,7 @@ def _train(state: SimulationState, devices: list) -> dict:
     cfg = state.cfg
     ids = [dev.id for dev in devices]
     seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, ids, state.round)
-    updates = train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds), ids)
-    return dict(zip(ids, updates))
+    return dict(zip(ids, train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds))))
 
 
 def _drain(dev: DeviceProfile, joules: float) -> float:
@@ -230,23 +230,23 @@ def _drain(dev: DeviceProfile, joules: float) -> float:
     return charged
 
 
-def _model_indices(state: SimulationState, updates: dict) -> dict:
+def _model_indices(state: SimulationState, trained: dict) -> dict:
     """Each trained device's reported model-diversity index, capped at the round's outlier ceiling."""
     data = state.cfg.data
     grouping = (data.n_classes, data.dim + 1)
-    raw = model_diversity_indices([upd.params for upd in updates.values()], state.model, grouping, data.diversity)
+    raw = model_diversity_indices(list(trained.values()), state.model, grouping, data.diversity)
     if not raw:
         return {}
     ceiling = outlier_ceiling(raw, data.diversity.outlier_percentile)
-    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in zip(updates, raw)}
+    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in zip(trained, raw)}
 
 
-def _schedule(state: SimulationState, eligible: list, updates: dict) -> ScheduleDecision:
-    """Selection by the configured policy; ``updates`` are the post-training mode's local models."""
+def _schedule(state: SimulationState, eligible: list, trained: dict) -> ScheduleDecision:
+    """Selection by the configured policy; ``trained`` holds the post-training mode's local models."""
     cfg = state.cfg
     k, shared = cfg.k_per_round, (cfg.constraints, cfg.network, cfg.train.epochs)
     if cfg.policy == "diversity_post":
-        return schedule_post_training(eligible, _model_indices(state, updates), k, *shared)
+        return schedule_post_training(eligible, _model_indices(state, trained), k, *shared)
     if cfg.policy == "diversity_pre":
         diversity = {d.id: dataset_report(d, state.dataset_profiles[d.id]).diversity_index for d in eligible}
         return schedule_pre_training(eligible, diversity, k, cfg.weights, *shared)
@@ -272,16 +272,16 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
     for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
         dev.channel = resample_channel(dev.channel, cfg.master_seed, did, rnd)
     eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
-    compute_times, energies, updates = {}, {}, {}
+    compute_times, energies, trained = {}, {}, {}
     if train_first:
-        updates = _train(state, eligible)
+        trained = _train(state, eligible)
         for dev in eligible:
             compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, epochs)
             energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, epochs))
-    decision = _schedule(state, eligible, updates)
+    decision = _schedule(state, eligible, trained)
     participants = tuple(sorted(decision.selected)) if decision.round_valid else ()
     if not train_first:
-        updates = _train(state, [state.devices[did] for did in participants])
+        trained = _train(state, [state.devices[did] for did in participants])
 
     times = {} if participants else compute_times
     for did in participants:
@@ -296,7 +296,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         dev.last_participation_round = rnd
 
     if participants:
-        chosen = [updates[did] for did in participants]
+        chosen = [upload(trained[did], state.devices[did].dataset, did) for did in participants]
         if cfg.aggregation == "loss_weighted":
             state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)
         else:

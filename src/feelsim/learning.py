@@ -6,10 +6,13 @@ training is plain mini-batch SGD on softmax cross-entropy with an optional L2
 penalty on the non-bias weights.  A round's devices train in lockstep
 (``train_many``): at each global step, the devices whose minibatch has the
 same length take one stacked step, and every device ends with the bits it
-gets training alone (``local_train``, the one-device call).  Aggregation is
-sample-count weighted averaging, with a loss-reweighted variant that favors
-poorly served devices; the reduction always runs in ascending device id so
-results are bit-deterministic regardless of caller ordering.
+gets training alone.  Training returns models only.  A device's final loss
+on its own data goes with its upload (``upload``), so it is computed only
+for the devices whose update is aggregated; ``local_train`` is both steps
+for one device.  Aggregation is sample-count weighted averaging, with a
+loss-reweighted variant that favors poorly served devices; the reduction
+always runs in ascending device id so results are bit-deterministic
+regardless of caller ordering.
 """
 
 from __future__ import annotations
@@ -150,22 +153,20 @@ def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device
     """Mini-batch SGD from the given model; the input model is not modified.
 
     The per-epoch shuffle comes from ``cfg.seed`` alone, so an identical
-    (model, data, config) triple always produces the identical update.
-    ``final_loss`` is the mean cross-entropy over the local data after the
-    last step (the penalty term at l2 = 0), which is what loss-weighted
-    aggregation consumes.  This is ``train_many`` for one device.
+    (model, data, config) triple always produces the identical update.  This
+    is ``train_many`` for one device, then its ``upload``.
     """
-    return train_many(model, [data], cfg, [cfg.seed], [device_id])[0]
+    return upload(train_many(model, [data], cfg, [cfg.seed])[0], data, device_id)
 
 
-def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list, device_ids: list) -> list:
-    """``local_train`` of many devices from one model, in lockstep; one Update each.
+def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list) -> list:
+    """Many devices' mini-batch SGD from one model, in lockstep; one trained ModelParams each.
 
     Device i trains on ``datasets[i]`` with the shuffles of
-    ``np.random.default_rng(seeds[i])`` and reports ``device_ids[i]``;
-    ``cfg.seed`` is not read.  Every device's update is bit for bit the one
-    it gets when it trains alone, whichever devices train beside it: ``w =
-    w - lr * loss_and_grad(w, batch)[1]`` step by step.
+    ``np.random.default_rng(seeds[i])``; ``cfg.seed`` is not read.  Every
+    device's model is bit for bit the one it gets when it trains alone,
+    whichever devices train beside it: ``w = w - lr * loss_and_grad(w,
+    batch)[1]`` step by step.  No loss is computed here; ``upload`` takes it.
 
     At global step t, the devices whose t-th minibatch has the same length
     take one stacked step (``_gradients``).  A step's rows are gathered
@@ -193,14 +194,20 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
         grad *= cfg.learning_rate
         w -= grad
         weights[ids] = w
+    return [ModelParams(w.ravel()) for w in weights]
 
-    updates = []
-    for w, data, device_id in zip(weights, datasets, device_ids, strict=True):
-        w_mat = w[:, :dim]
-        logits, z = _softmax(data.features, w_mat, w[:, dim])
-        final_loss = _penalized(_cross_entropy(logits, z, data.labels), 0.0, w_mat)
-        updates.append(Update(ModelParams(w.ravel()), data.n_samples, final_loss, device_id))
-    return updates
+
+def upload(params: ModelParams, data: LocalDataset, device_id: int) -> Update:
+    """The update a device trained to ``params`` on ``data`` sends the server.
+
+    ``final_loss`` is the mean cross-entropy of ``params`` over the local
+    data (plus the penalty term at l2 = 0, which turns a diverged model's
+    loss into NaN), which is what loss-weighted aggregation consumes.
+    """
+    w_mat, bias = _unpack(params.weights, data.features.shape[1])
+    logits, z = _softmax(data.features, w_mat, bias)
+    final_loss = _penalized(_cross_entropy(logits, z, data.labels), 0.0, w_mat)
+    return Update(params, data.n_samples, final_loss, device_id)
 
 
 def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feelsim.engine
+from feelsim import seeding
 from feelsim.datagen import FleetSpec, PartitionSpec
 from feelsim.engine import (
     AGGREGATIONS,
@@ -27,7 +28,7 @@ from feelsim.engine import (
     run_simulation,
 )
 from feelsim.errors import ValidationError
-from feelsim.learning import TrainConfig
+from feelsim.learning import TrainConfig, local_train
 from feelsim.network import ALLOCATION_STRATEGIES, NetworkConfig
 from feelsim.scheduler import ConstraintConfig, jain_fairness
 
@@ -241,6 +242,56 @@ def test_post_round_selects_by_model_diversity_not_id():
     record = run_round_post(state)
     assert len(record.participants) == 2
     assert not record.aborted
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(k_per_round=2, aggregation="loss_weighted", qffl_q=2.0),
+        dict(constraints=ConstraintConfig(min_battery=0.0, min_participants=7), rounds_max=2),  # every round aborts
+    ],
+)
+def test_post_rounds_compute_a_final_loss_only_for_the_uploads(monkeypatch, overrides):
+    uploaded, trained = [], []
+    upload, train_many = feelsim.engine.upload, feelsim.engine.train_many
+
+    def counted_upload(params, data, device_id):
+        uploaded.append(device_id)
+        return upload(params, data, device_id)
+
+    def counted_train(model, datasets, cfg, seeds):
+        trained.extend(seeds)
+        return train_many(model, datasets, cfg, seeds)
+
+    monkeypatch.setattr(feelsim.engine, "upload", counted_upload)
+    monkeypatch.setattr(feelsim.engine, "train_many", counted_train)
+    result = run_simulation(small_config(policy="diversity_post", **overrides))
+    assert uploaded == [did for r in result.rounds for did in r.participants]
+    assert len(uploaded) < len(trained)
+
+
+def test_post_round_aggregates_each_devices_local_train_loss(monkeypatch):
+    cfg = small_config(policy="diversity_post", k_per_round=2, aggregation="loss_weighted", qffl_q=2.0)
+    aggregated = []
+    aggregate = feelsim.engine.aggregate_loss_weighted
+
+    def recorded(updates, q):
+        aggregated.extend(updates)
+        return aggregate(updates, q)
+
+    monkeypatch.setattr(feelsim.engine, "aggregate_loss_weighted", recorded)
+    state = build_state(cfg)
+    for rnd in range(cfg.rounds_max):
+        model, aggregated[:] = state.model, []
+        record = run_round_post(state)
+        assert [u.device_id for u in aggregated] == list(record.participants) != []
+        for upd in aggregated:
+            seed = seeding.derive_seed(cfg.master_seed, seeding.TRAINING, upd.device_id, rnd)
+            data = state.devices[upd.device_id].dataset
+            alone = local_train(model, data, replace(cfg.train, seed=seed), upd.device_id)
+            assert np.array_equal(upd.params.weights.view(np.uint64), alone.params.weights.view(np.uint64))
+            assert (upd.n_samples, upd.device_id) == (alone.n_samples, alone.device_id)
+            assert np.float64(upd.final_loss).view(np.uint64) == np.float64(alone.final_loss).view(np.uint64)
 
 
 def test_post_round_abort_still_charges_compute():

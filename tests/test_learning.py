@@ -24,6 +24,7 @@ from feelsim.learning import (
     local_train,
     loss_and_grad,
     train_many,
+    upload,
 )
 
 
@@ -244,10 +245,16 @@ def _fleet(sizes, n_classes=4, dim=5, seed=0, scale=1.0):
     return weights, datasets
 
 
+def _uploads(weights, datasets, cfg, seeds, ids) -> list:
+    """train_many's models, each with the update upload makes of it."""
+    trained = train_many(ModelParams(weights), datasets, cfg, seeds)
+    assert len(trained) == len(datasets)
+    return [upload(params, data, device_id) for params, data, device_id in zip(trained, datasets, ids, strict=True)]
+
+
 def _assert_each_device_trains_as_alone(weights, datasets, cfg, seeds, ids):
     """train_many equals the plain SGD loop and local_train for every device, NaN bits included."""
-    got = train_many(ModelParams(weights), datasets, cfg, seeds, ids)
-    assert len(got) == len(datasets)
+    got = _uploads(weights, datasets, cfg, seeds, ids)
     for upd, data, seed, device_id in zip(got, datasets, seeds, ids):
         want_w, want_loss = oracles.reference_local_train(
             weights, data.features, data.labels, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.l2_reg, seed
@@ -276,7 +283,7 @@ def test_train_many_takes_the_engines_preset_seeds():
     by_int = [seeding.derive_seed(5, seeding.TRAINING, i, 2) for i in ids]
     cfg = TrainConfig(epochs=3, batch_size=7, learning_rate=0.1)
     got = _assert_each_device_trains_as_alone(weights, datasets, cfg, by_int, ids)
-    for a, b in zip(got, train_many(ModelParams(weights), datasets, cfg, presets, ids)):
+    for a, b in zip(got, _uploads(weights, datasets, cfg, presets, ids)):
         assert np.array_equal(_bits(a.params.weights), _bits(b.params.weights))
         assert _bits(a.final_loss) == _bits(b.final_loss)
 
@@ -296,27 +303,27 @@ def test_train_many_device_is_the_same_alone_in_a_crowd_and_in_any_order():
     weights, datasets = _fleet(sizes, n_classes=6, dim=16, seed=5)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1)
     seeds, ids = list(range(1000, 1300)), list(range(300))
-    crowd = train_many(ModelParams(weights), datasets, cfg, seeds, ids)
+    crowd = _uploads(weights, datasets, cfg, seeds, ids)
     perm = np.random.default_rng(6).permutation(300).tolist()
-    shuffled = train_many(ModelParams(weights), [datasets[i] for i in perm], cfg, [seeds[i] for i in perm], perm)
+    shuffled = _uploads(weights, [datasets[i] for i in perm], cfg, [seeds[i] for i in perm], perm)
     for upd in shuffled:
         assert np.array_equal(_bits(upd.params.weights), _bits(crowd[upd.device_id].params.weights))
         assert _bits(upd.final_loss) == _bits(crowd[upd.device_id].final_loss)
     for i in (0, 17, 299):
-        (alone,) = train_many(ModelParams(weights), [datasets[i]], cfg, [seeds[i]], [i])
+        (alone,) = _uploads(weights, [datasets[i]], cfg, [seeds[i]], [i])
         assert np.array_equal(_bits(alone.params.weights), _bits(crowd[i].params.weights))
         assert _bits(alone.final_loss) == _bits(crowd[i].final_loss)
 
 
 def test_train_many_of_no_devices_is_empty():
-    assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), [], []) == []
+    assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), []) == []
 
 
 def test_train_many_refuses_an_empty_dataset_among_others():
     weights, datasets = _fleet([3, 5])
     empty = LocalDataset("classification", np.zeros((0, 5)), np.zeros(0, dtype=int))
     with pytest.raises(EmptyDatasetError):
-        train_many(ModelParams(weights), [*datasets, empty], TrainConfig(), [0, 1, 2], [0, 1, 2])
+        train_many(ModelParams(weights), [*datasets, empty], TrainConfig(), [0, 1, 2])
 
 
 # ------------------------------------------------------------------ evaluate
