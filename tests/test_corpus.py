@@ -79,7 +79,8 @@ def _drained() -> SimulationConfig:
 
 def _deadline() -> SimulationConfig:
     """A 9.5 s deadline at an equal share of the band: in one round, fading leaves fewer than k devices in time."""
-    return replace(_fleet(40, rounds=5, seed=16), constraints=ConstraintConfig(completion_threshold=9.5, min_participants=10))
+    deadline = ConstraintConfig(completion_threshold=9.5, min_participants=10)
+    return replace(_fleet(40, rounds=5, seed=16), constraints=deadline)
 
 
 CORPUS = {

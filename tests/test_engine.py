@@ -282,7 +282,8 @@ def test_post_round_aggregates_each_devices_local_train_loss(monkeypatch):
     monkeypatch.setattr(feelsim.engine, "aggregate_loss_weighted", recorded)
     state = build_state(cfg)
     for rnd in range(cfg.rounds_max):
-        model, aggregated[:] = state.model, []
+        model = state.model
+        aggregated.clear()
         record = run_round_post(state)
         assert [u.device_id for u in aggregated] == list(record.participants) != []
         for upd in aggregated:
