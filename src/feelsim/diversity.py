@@ -15,7 +15,8 @@ global model: a dissimilarity term (how far the local model moved) plus a
 parameter-redundancy term (an L2,1 norm over pairwise differences of
 parameter groups), weighted as a checked DiversityConfig says.  Only scalar
 indices ever leave the device.  A round's indices are one stacked pass
-(``model_diversity_indices``), each bit for bit what its model gets alone.
+(``model_diversity_indices``) over its models as the rows of one array,
+each bit for bit what its model gets alone.
 
 All functions are pure and bit-reproducible given identical inputs and seeds.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,9 +92,17 @@ def _template_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     return (dist <= r).sum(axis=1)
 
 
-def _series(series, m: int, r: float) -> np.ndarray:
-    """The series as a flat float array; raises unless m, r and its length suit an entropy."""
+def _finite(series) -> np.ndarray:
+    """The series as a flat float array; raises ``not_finite`` unless every value is finite."""
     x = np.asarray(series, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        raise ValidationError("not_finite", "a time series must hold only finite values")
+    return x
+
+
+def _series(series, m: int, r: float) -> np.ndarray:
+    """The finite series as a flat float array; raises unless m, r and its length suit an entropy."""
+    x = _finite(series)
     if m < 1:
         raise ValueError("embedding dimension m must be >= 1")
     if r <= 0:
@@ -105,8 +113,8 @@ def _series(series, m: int, r: float) -> np.ndarray:
 
 
 def entropy_tolerance(series: np.ndarray, scale: float) -> float:
-    """Tolerance r = scale * std of the series; 1e-12 where that is not positive (a flat series)."""
-    r = scale * float(series.std())
+    """Tolerance r = scale * std of the finite series; 1e-12 where that is not positive (a flat series)."""
+    r = scale * float(_finite(series).std())
     return r if r > 0 else 1e-12
 
 
@@ -141,14 +149,14 @@ def sample_entropy(series, m: int = 2, r: float = 0.2) -> float:
     x = _series(series, m, r)
 
     def pairs(y: np.ndarray, mm: int) -> int:
-        # a finite template matches itself; any other match is counted from both ends
-        self_matches = int(np.isfinite(sliding_window_view(y, mm)).all(axis=1).sum())
-        return (int(_template_counts(y, mm, r).sum()) - self_matches) // 2
+        # every template matches itself; any other match is counted from both ends
+        counts = _template_counts(y, mm, r)
+        return (int(counts.sum()) - counts.size) // 2
 
     b, a = pairs(x[:-1], m), pairs(x, m + 1)
     if a == 0 or b == 0:
         raise NoTemplateMatchesError(f"A={a}, B={b}")
-    return float(-math.log(a / b))
+    return 0.0 - math.log(a / b)  # not -log: a regular series gives +0.0, not -0.0
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +262,8 @@ def dataset_diversity_index(
     """Combine richness and normalized uncertainty into one scalar.
 
     The normalized uncertainty u_hat lies in [0, 1]: entropy is divided by
-    ln(k) over the global class count (so locally missing classes depress
+    ln(k) over the global class count k = ``n_classes``, which a
+    classification dataset must pass (so locally missing classes depress
     it), Gini-Simpson by 1 - 1/k, and the unbounded measures by the
     configured cap.  The index is u_hat * ln(1 + n_samples), so it grows
     with data volume but only as fast as the data is actually mixed.
@@ -266,7 +275,9 @@ def dataset_diversity_index(
     if n == 0:
         raise EmptyDatasetError("diversity of an empty dataset")
     if dataset.task_kind == "classification":
-        k = n_classes if n_classes is not None else int(dataset.labels.max()) + 1
+        if n_classes is None:
+            raise ValidationError("n_classes_required", "a classification index needs the global class count")
+        k = n_classes
         counts = dataset.class_counts(k)
         if cfg.classification_measure == "shannon":
             uncertainty = shannon_entropy(counts)
@@ -294,6 +305,9 @@ def dataset_diversity_index(
 # model diversity
 
 
+_COSINE = DissimilarityMetric("cosine")
+
+
 def model_global_dissimilarity(
     local: ModelParams, global_model: ModelParams, metric: DissimilarityMetric
 ) -> float:
@@ -316,7 +330,7 @@ def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
     if group_count == 1:
         return 0.0
     groups = params.weights.reshape(group_count, group_size)
-    i, j = _pair_indices(group_count)
+    i, j = np.triu_indices(group_count, k=1)
     diffs = groups[i] - groups[j]
     # the row norms np.linalg.norm(diffs, axis=1) computes, without its wrapper
     return float(np.sqrt(np.add.reduce(diffs * diffs, axis=1)).sum() / diffs.shape[0])
@@ -328,43 +342,6 @@ def _tiling(grouping: tuple, size: int) -> tuple:
     if group_count < 1 or group_size < 1 or group_count * group_size != size:
         raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {size}")
     return group_count, group_size
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(group_count: int) -> tuple:
-    """Row indices (i, j) of every unordered pair i < j, read-only."""
-    pairs = np.triu_indices(group_count, k=1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sums over the first axis, each in the order ``np.add.reduce`` sums a 1-D array.
-
-    That order is numpy's pairwise sum: from 0.0 below 8 terms, in eight
-    interleaved accumulators up to 128 and halved above.  A reduction along
-    an axis of a stacked array may take another order, and other bits, so
-    the stacked model index writes this one out; each step is one vector
-    operation over the trailing axes.
-    """
-    n = a.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    if n < 8:
-        total = np.zeros(a.shape[1:])
-        for row in a:
-            total += row
-        return total
-    acc = a[:8].copy()
-    stop = n - n % 8
-    for start in range(8, stop, 8):
-        acc += a[start : start + 8]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in a[stop:]:
-        total += row
-    return total
 
 
 def model_diversity_index(local: ModelParams, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> float:
@@ -384,9 +361,9 @@ def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: 
     """``model_diversity_index`` of each local model, in one stacked pass.
 
     Each index is bit for bit the one its model gets alone.  The models are
-    the columns of one array, so every sum over a model's parameters,
-    groups or group pairs is ``_pairwise_sum`` over contiguous rows: the
-    order of ``np.add.reduce`` on one model's 1-D vector.
+    the rows of one C-contiguous array, and every sum over a model's
+    parameters, groups or group pairs runs along the contiguous last axis,
+    where ``np.add.reduce`` adds each row as it adds that row alone.
     """
     v = global_model.weights
     for local in locals_:
@@ -394,24 +371,20 @@ def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: 
             raise ShapeMismatchError(f"{local.weights.shape} vs {v.shape}")
     if not locals_:
         return []
-    cols = np.stack([local.weights for local in locals_], axis=1)
-    nu = np.sqrt(_pairwise_sum(cols * cols))
-    nv = np.sqrt(np.add.reduce(v * v))
-    if nv == 0 or (nu == 0).any():
-        raise UndefinedAngleError("cosine dissimilarity of a zero vector")
-    dissim = 1.0 - np.minimum(np.maximum(_pairwise_sum(cols * v[:, None]) / (nu * nv), -1.0), 1.0)
+    rows = np.stack([local.weights for local in locals_])
+    dissim = _pairwise(rows, v[None, :], _COSINE)
 
     group_count, group_size = _tiling(grouping, v.size)
     if group_count == 1:
         red = np.zeros(len(locals_))
     else:
-        groups = cols.reshape(group_count, group_size, -1).transpose(1, 0, 2)  # (group_size, group_count, models)
-        norms = []  # pair norms in np.triu_indices order, the pairs of one first group at a time
+        groups = rows.reshape(len(locals_), group_count, group_size)
+        norms = []  # (models, pairs) norms in np.triu_indices order, the pairs of one first group at a time
         for first in range(group_count - 1):
             diffs = groups[:, first, None] - groups[:, first + 1 :]
             diffs *= diffs
-            norms.append(np.sqrt(_pairwise_sum(diffs)))
-        red = _pairwise_sum(np.concatenate(norms)) / (group_count * (group_count - 1) // 2)
+            norms.append(np.sqrt(np.add.reduce(diffs, axis=-1)))
+        red = np.add.reduce(np.concatenate(norms, axis=1), axis=-1) / (group_count * (group_count - 1) // 2)
     w_div, w_red, cap = cfg.model_dissimilarity_weight, cfg.model_redundancy_weight, cfg.redundancy_cap
     # the blend in Python floats, as a lone model's: Python and numpy keep different NaNs of a NaN + NaN
     return [float(w_div * d + w_red * min(r / cap, 1.0)) for d, r in zip(dissim.tolist(), red.tolist())]

@@ -38,7 +38,7 @@ from .domain import (
 from .errors import ValidationError
 from .learning import (
     TrainConfig,
-    aggregate_fedavg,
+    aggregate_fedavg,  # not called here: perfbench/layers.py wraps this name
     aggregate_loss_weighted,
     evaluate,
     init_model,
@@ -297,10 +297,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
 
     if participants:
         chosen = [upload(trained[did], state.devices[did].dataset, did) for did in participants]
-        if cfg.aggregation == "loss_weighted":
-            state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)
-        else:
-            state.model = aggregate_fedavg(chosen)
+        state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)  # FedAvg is q = 0, which its config enforces
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(
         round=rnd,

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .domain import LocalDataset, ModelParams, require_finite
 from .errors import (
@@ -37,18 +36,17 @@ from .errors import (
 class TrainConfig:
     """Local SGD settings.
 
-    ``seed`` is what ``np.random.default_rng`` takes for ``local_train``'s
-    per-epoch shuffles: an int, or an ``ISeedSequence`` such as the
-    ``PresetSeed`` the engine derives per device and round, which gives the
-    same shuffles as the int seed it was derived from.  ``train_many`` takes
-    one such seed per device in its place.
+    ``seed`` seeds ``local_train``'s per-epoch shuffles through
+    ``np.random.default_rng``.  ``train_many`` does not read it and takes
+    one seed per device instead, such as the ``PresetSeed``s the engine
+    derives per device and round.
     """
 
     epochs: int = 1
     batch_size: int = 16
     learning_rate: float = 0.1
     l2_reg: float = 0.0
-    seed: int | ISeedSequence = 0
+    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:

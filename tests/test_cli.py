@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,28 @@ def test_measures_timeseries_without_template_matches(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "sample_entropy = inf  # no template matches: maximally irregular" in lines
     assert f"diversity_index = {math.log1p(40):.9g}" in lines  # maximal irregularity: u_hat = 1
+
+
+def test_measures_flat_series_entropy_is_positive_zero(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    np.savetxt(path, np.ones((6, 1)), delimiter=",")
+    assert main(["measures", str(path), "--task", "timeseries"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sample_entropy = 0" in lines
+    assert "diversity_index = 0" in lines
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_measures_non_finite_series_is_one_error_line(tmp_path, capsys, value):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join([*map(str, np.sin(np.arange(40) / 4).tolist()), value]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run in a traceback
+        assert main(["measures", str(path), "--task", "timeseries"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not_finite" in captured.err
+    assert captured.out == ""
 
 
 def test_measures_bad_file(tmp_path, capsys):

@@ -18,7 +18,6 @@ from feelsim.diversity import (
     entropy_tolerance,
     gini_simpson,
     mean_pairwise_dissimilarity,
-    _pairwise_sum,
     model_diversity_index,
     model_diversity_indices,
     model_global_dissimilarity,
@@ -120,7 +119,22 @@ def test_apen_parameter_validation():
 
 
 def test_sampen_constant_series_is_zero():
-    assert sample_entropy(np.ones(40), m=2, r=0.2) == 0.0
+    got = sample_entropy(np.ones(40), m=2, r=0.2)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0  # +0.0: -ln(A/B) at A == B would be -0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_series_is_refused(value):
+    series = np.sin(np.arange(40) / 4)
+    series[17] = value
+    with pytest.raises(ValidationError, match="not_finite"):
+        entropy_tolerance(series, 0.2)
+    with pytest.raises(ValidationError, match="not_finite"):
+        sample_entropy(series, 2, 0.2)
+    with pytest.raises(ValidationError, match="not_finite"):
+        approximate_entropy(series, 2, 0.2)
+    with pytest.raises(ValidationError, match="not_finite"):
+        dataset_diversity_index(LocalDataset("timeseries", series[:, None]), DiversityConfig())
 
 
 def test_sine_more_regular_than_ar_noise():
@@ -293,6 +307,13 @@ def test_dataset_index_empty_errors():
         dataset_diversity_index(ds, DiversityConfig(), n_classes=2)
 
 
+def test_dataset_index_classification_needs_the_class_count():
+    # the largest label is no class count: one sparse label would inflate k and deflate the index
+    ds = LocalDataset("classification", np.zeros((4, 2)), np.array([0, 1, 1, 9]))
+    with pytest.raises(ValidationError, match="n_classes_required"):
+        dataset_diversity_index(ds, DiversityConfig())
+
+
 def test_dataset_index_gini_variant():
     labels = np.repeat(np.arange(4), 10)
     ds = LocalDataset("classification", np.zeros((40, 2)), labels)
@@ -397,7 +418,7 @@ def test_model_diversity_index_is_bitwise_the_blend():
     rng = np.random.default_rng(17)
     cosine = DissimilarityMetric("cosine")
     groupings = [(1, 5), (2, 3), (6, 17), (10, 9)]
-    for step in range(24):  # cycling the group counts revisits each cached pair index
+    for step in range(24):
         grouping = groupings[step % len(groupings)]
         size = grouping[0] * grouping[1]
         scale = 10.0 ** rng.uniform(-3.0, 150.0)
@@ -428,17 +449,22 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def test_pairwise_sum_is_the_order_of_a_1d_add_reduce():
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize("lead", [(1,), (2,), (7,), (300,), (7, 1), (300, 1), (7, 3)])
+def test_row_sums_of_a_c_contiguous_stack_are_each_rows_own(lead):
+    # model_diversity_indices relies on this: a reduction along the contiguous last axis adds each row as alone
+    rng = np.random.default_rng(sum(lead))
     # one NaN, the one arithmetic makes: which of two different NaNs a sum keeps is up to numpy's compiled loop
     special = np.array([-0.0, 0.0, np.inf, -np.inf, np.inf - np.inf, 1e308, -1e308, 5e-324])
-    for n in [*range(0, 40), 63, 64, 65, 127, 128, 129, 130, 136, 255, 256, 257, 300]:
-        cols = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-8, 8, size=(n, 12))
+    for n in [*range(0, 40), 63, 64, 65, 127, 128, 129, 130, 136, 255, 256, 257, 300, 1000, 1031]:
+        stack = rng.standard_normal((*lead, n)) * 10.0 ** rng.uniform(-8, 8, size=(*lead, n))
+        flat = stack.reshape(math.prod(lead), n)  # a view: one row of ``flat`` per row of ``stack``
         if n:
-            cols[rng.integers(0, n, size=4), 8:] = rng.choice(special, size=(4, 4))  # last four columns: IEEE corner cases
+            rows = rng.integers(0, flat.shape[0], size=4)
+            flat[rows, rng.integers(0, n, size=4)] = rng.choice(special, size=4)
+            flat[rows[0]] = rng.choice(special, size=n)  # one row of IEEE corner cases only
         with np.errstate(all="ignore"):
-            got = _pairwise_sum(cols)
-            want = [np.add.reduce(np.ascontiguousarray(cols[:, c])) for c in range(12)]
+            got = np.add.reduce(stack, axis=-1).ravel()
+            want = [np.add.reduce(row) for row in flat]
         assert np.array_equal(_bits(got), _bits(want)), n
 
 

@@ -188,8 +188,9 @@ def test_local_train_is_bitwise_the_reference_loop(l2, batch, epochs):
     by_int = replace(cfg, seed=seeding.derive_seed(5, seeding.TRAINING, batch, epochs))
     (preset,) = seeding.derived_seeds(5, seeding.TRAINING, [batch], epochs)
     _assert_train_matches_reference(weights, features, labels, by_int)
-    got = local_train(ModelParams(weights), _dataset(features, labels), replace(cfg, seed=preset))
-    want = local_train(ModelParams(weights), _dataset(features, labels), by_int)
+    data = _dataset(features, labels)
+    got = upload(train_many(ModelParams(weights), [data], cfg, [preset])[0], data, 0)
+    want = local_train(ModelParams(weights), data, by_int)
     assert np.array_equal(_bits(got.params.weights), _bits(want.params.weights))
     assert _bits(got.final_loss) == _bits(want.final_loss)
 
