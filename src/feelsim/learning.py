@@ -4,8 +4,9 @@ The model is multinomial logistic regression stored as one flat vector of
 length n_classes * (dim + 1): one (weights | bias) block per class.  Local
 training is plain mini-batch SGD on softmax cross-entropy with an optional L2
 penalty on the non-bias weights.  A round's devices train in lockstep
-(``train_many``): at each global step, the devices whose minibatch has the
-same length take one stacked step, and every device ends with the bits it
+(``train_many``): each epoch is a row of slots, one per full minibatch and
+then one per distinct ragged length, and the devices whose minibatch falls
+in the same slot take one stacked step.  Every device ends with the bits it
 gets training alone.  Training returns models only.  A device's final loss
 on its own data goes with its upload (``upload``), so it is computed only
 for the devices whose update is aggregated; ``local_train`` is both steps
@@ -166,23 +167,35 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     whichever devices train beside it: ``w = w - lr * loss_and_grad(w,
     batch)[1]`` step by step.  No loss is computed here; ``upload`` takes it.
 
-    At global step t, the devices whose t-th minibatch has the same length
-    take one stacked step (``_gradients``).  A step's rows are gathered
-    through an index into one concatenation of the devices' data, so no
-    shuffled copy of a dataset is made.
+    The devices whose minibatches fall in the same slot of
+    ``_lockstep_steps`` take one stacked step (``_gradients``): the j-th
+    full minibatch of every device in one slot, and every ragged last
+    minibatch of one length in another.  A step's rows are gathered through
+    an index into one concatenation of the devices' data, so no shuffled
+    copy of a dataset is made.  A dataset whose feature width or labels do
+    not fit the model raises ``ShapeMismatchError`` naming its index.
     """
-    for data in datasets:
-        if data.task_kind != "classification" or data.n_samples == 0:
-            raise EmptyDatasetError("local training needs a non-empty classification set")
     if not datasets:
         return []
     dim = datasets[0].features.shape[1]
-    _unpack(model.weights, dim)  # raises unless the model fits the data
+    n_weights = model.weights.size
+    for i, data in enumerate(datasets):
+        if data.task_kind != "classification" or data.n_samples == 0:
+            raise EmptyDatasetError("local training needs a non-empty classification set")
+        width = data.features.shape[1]
+        if n_weights % (width + 1):
+            raise ShapeMismatchError(f"dataset {i}'s {width} features do not fit a model of {n_weights} weights")
+        if width != dim:
+            raise ShapeMismatchError(f"dataset {i} has {width} features, dataset 0 has {dim}")
+    n_classes = n_weights // (dim + 1)
     sizes = np.array([data.n_samples for data in datasets])
+    labels = np.concatenate([data.labels for data in datasets])
+    if labels.max() >= n_classes:
+        i = np.searchsorted(np.cumsum(sizes), np.argmax(labels >= n_classes), side="right")
+        raise ShapeMismatchError(f"dataset {i} has a label at or above the model's {n_classes} classes")
     order = _shuffled_rows(sizes, seeds, cfg.epochs)
     device, first, length, edges = _lockstep_steps(sizes, cfg.batch_size, cfg.epochs)
     features = np.concatenate([data.features for data in datasets])
-    labels = np.concatenate([data.labels for data in datasets])
     weights = np.tile(model.weights, (len(datasets), 1)).reshape(len(datasets), -1, dim + 1)
     for lo, hi in zip(edges, edges[1:]):
         ids = device[lo:hi]
@@ -226,22 +239,38 @@ def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:
 def _lockstep_steps(sizes: np.ndarray, batch: int, epochs: int) -> tuple:
     """Every device's SGD steps, grouped into the stacked steps that run them.
 
+    Each epoch has ``span + R`` slots: ``span`` is the largest count of full
+    minibatches, and ``R`` the number of distinct ragged lengths ``n %
+    batch`` other than 0.  A device's j-th full minibatch of epoch e runs in
+    slot ``e * (span + R) + j``, and its ragged one in slot ``e * (span + R)
+    + span + r``, where r ranks its length among the ragged lengths.  So a
+    slot holds minibatches of one length and at most one step per device,
+    and each device's slots rise with its steps.
+
     Returns, one entry per device and step, the device, where the step's
-    minibatch starts in ``_shuffled_rows`` and its length, sorted by step
-    index and then length; and the edges of the runs of equal step and
-    length, each one stacked step.
+    minibatch starts in ``_shuffled_rows`` and its length, sorted by slot
+    (stably, so by device within one); and the edges of the runs of equal
+    slot, each one stacked step.
     """
-    per_epoch = -(-sizes // batch)
+    full, rest = np.divmod(sizes, batch)
+    per_epoch = full + (rest > 0)
+    ragged_lengths = np.bincount(rest, minlength=1) > 0  # no np.unique: its first call maps 1.6 MB
+    ragged_lengths[0] = False
+    rank = np.cumsum(ragged_lengths) - 1
+    span = full.max()
+    width = span + rank[-1] + 1
     steps = epochs * per_epoch
     device = np.repeat(np.arange(sizes.size), steps)
     step = np.arange(device.size) - np.repeat(np.cumsum(steps) - steps, steps)
-    epoch, slot = np.divmod(step, per_epoch[device])
-    length = np.where(slot == per_epoch[device] - 1, sizes[device] - slot * batch, batch)
-    first = epochs * (np.cumsum(sizes) - sizes)[device] + epoch * sizes[device] + slot * batch
-    ranked = np.lexsort((length, step))
-    step, length = step[ranked], length[ranked]
-    edges = np.flatnonzero((step[1:] != step[:-1]) | (length[1:] != length[:-1])) + 1
-    return device[ranked], first[ranked], length, [0, *edges.tolist(), step.size]
+    epoch, j = np.divmod(step, per_epoch[device])
+    ragged = j == full[device]
+    length = np.where(ragged, rest[device], batch)
+    slot = epoch * width + np.where(ragged, span + rank[rest[device]], j)
+    first = epochs * (np.cumsum(sizes) - sizes)[device] + epoch * sizes[device] + j * batch
+    ranked = np.argsort(slot, kind="stable")
+    slot = slot[ranked]
+    edges = np.flatnonzero(slot[1:] != slot[:-1]) + 1
+    return device[ranked], first[ranked], length[ranked], [0, *edges.tolist(), slot.size]
 
 
 def evaluate(model: ModelParams, test: LocalDataset):

@@ -17,6 +17,7 @@ from feelsim.errors import DegenerateWeightsError, EmptyDatasetError, NoUpdatesE
 from feelsim.learning import (
     TrainConfig,
     Update,
+    _lockstep_steps,
     aggregate_fedavg,
     aggregate_loss_weighted,
     evaluate,
@@ -277,6 +278,50 @@ def test_train_many_trains_ragged_devices_each_as_alone(l2, batch):
     _assert_each_device_trains_as_alone(weights, datasets, cfg, list(range(50, 50 + len(sizes))), list(range(len(sizes))))
 
 
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_train_many_stacks_equal_ragged_lengths_from_different_steps(l2):
+    # every device ends on a ragged 5-row minibatch, at its steps 0, 1, 2 and 3
+    sizes, cfg = (5, 21, 37, 53), TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, l2_reg=l2)
+    device, _, length, edges = _lockstep_steps(np.array(sizes), cfg.batch_size, cfg.epochs)
+    assert [device[lo:hi].tolist() for lo, hi in zip(edges, edges[1:]) if length[lo] == 5] == [[0, 1, 2, 3]] * 2
+    weights, datasets = _fleet(sizes, seed=7)
+    _assert_each_device_trains_as_alone(weights, datasets, cfg, [11, 12, 13, 14], [0, 1, 2, 3])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=20),
+    batch=st.integers(1, 33),
+    epochs=st.integers(1, 3),
+)
+def test_lockstep_steps_schedule_every_device_step_once_in_order(sizes, batch, epochs):
+    sizes = np.array(sizes)
+    device, first, length, edges = _lockstep_steps(sizes, batch, epochs)
+    starts = epochs * (np.cumsum(sizes) - sizes)
+    want = sorted(
+        (i, int(starts[i]) + e * n + lo, min(batch, n - lo))
+        for i, n in enumerate(sizes.tolist())
+        for e in range(epochs)
+        for lo in range(0, n, batch)
+    )
+    assert sorted(zip(device.tolist(), first.tolist(), length.tolist())) == want
+    for i in range(sizes.size):
+        assert np.all(np.diff(first[device == i]) > 0)  # each device's steps in its own order
+    assert edges[0] == 0 and edges[-1] == device.size and all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    for lo, hi in zip(edges, edges[1:]):
+        assert np.all(length[lo:hi] == length[lo])
+        assert np.unique(device[lo:hi]).size == hi - lo
+    ragged_lengths = {n % batch for n in sizes.tolist()} - {0}
+    assert len(edges) - 1 <= epochs * (int((sizes // batch).max()) + len(ragged_lengths))
+
+
+def test_lockstep_steps_of_a_post_training_fleet():
+    # a post-training round trains every eligible device; grouping by global step ran 134 stacked steps here
+    sizes = np.random.default_rng(0).lognormal(math.log(20), 0.75, size=300).round().clip(1, None).astype(int)
+    *_, edges = _lockstep_steps(sizes, 16, 2)
+    assert len(edges) - 1 <= 60
+
+
 def test_train_many_takes_the_engines_preset_seeds():
     weights, datasets = _fleet(RAGGED, seed=3)
     ids = [9, 4, 7, 0, 2, 5, 8]
@@ -318,6 +363,24 @@ def test_train_many_device_is_the_same_alone_in_a_crowd_and_in_any_order():
 
 def test_train_many_of_no_devices_is_empty():
     assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), []) == []
+
+
+@pytest.mark.parametrize("position, width", [(0, 4), (2, 4), (2, 3)])  # 4 fits no model of 24 weights, 3 fits one
+def test_train_many_names_a_dataset_of_the_wrong_width(position, width):
+    weights, datasets = _fleet([3, 5, 4])
+    datasets[position] = _dataset(np.zeros((4, width)), [0, 1, 2, 3])
+    with pytest.raises(ShapeMismatchError, match=f"dataset {position}"):
+        train_many(ModelParams(weights), datasets, TrainConfig(), [0, 1, 2])
+
+
+@pytest.mark.parametrize("position", [0, 2])
+def test_train_many_names_a_dataset_with_a_label_the_model_lacks(position):
+    weights, datasets = _fleet([3, 5, 4], n_classes=4)
+    datasets[position] = _dataset(np.zeros((4, 5)), [0, 1, 4, 3])
+    with pytest.raises(ShapeMismatchError, match=f"dataset {position}"):
+        train_many(ModelParams(weights), datasets, TrainConfig(), [0, 1, 2])
+    with pytest.raises(ShapeMismatchError, match="dataset 0"):
+        local_train(ModelParams(weights), datasets[position], TrainConfig())
 
 
 def test_train_many_refuses_an_empty_dataset_among_others():
