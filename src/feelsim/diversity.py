@@ -5,7 +5,8 @@ Dataset diversity is evaluated on the device from two ingredients: richness
 are).  Uncertainty is task specific:
 
 * classification  - Shannon entropy or Gini-Simpson index of the label
-  histogram,
+  histogram (a fleet's indices are one stacked pass,
+  ``dataset_diversity_indices``, over one histogram with a row per device),
 * timeseries      - sample entropy at tolerance r = tolerance_scale * std
   (``entropy_tolerance``; approximate entropy is available for comparison),
 * clustering      - mean pairwise dissimilarity of the feature rows.
@@ -44,15 +45,37 @@ from .errors import (
 # label-histogram uncertainty
 
 
-def _histogram(class_counts, measure: str) -> tuple:
-    """The counts as floats and their total; raises unless both are usable."""
-    counts = np.asarray(class_counts, dtype=float)
+def _histogram(class_counts, measure: str) -> np.ndarray:
+    """The counts as a one-row float histogram; raises unless they are usable."""
+    counts = np.asarray(class_counts, dtype=float).reshape(1, -1)
     if counts.size and np.any(counts < 0):
         raise ValueError("class counts must be nonnegative")
-    total = counts.sum()
-    if counts.size == 0 or total <= 0:
+    if counts.size == 0 or counts.sum() <= 0:
         raise EmptyDatasetError(f"{measure} of an empty histogram")
-    return counts, total
+    return counts
+
+
+def _uncertainties(counts: np.ndarray, measure: str) -> np.ndarray:
+    """Shannon entropy or Gini-Simpson index of each row of a float histogram.
+
+    Each row's value is bit for bit the one it gets alone: every sum runs
+    along the contiguous last axis, where ``np.add.reduce`` adds a row as it
+    adds that row alone.  Shannon sums only the classes present, so its rows
+    are grouped by how many classes are present and never zero-padded: a
+    padded row of 8 or more terms would add pairwise in another order.
+    """
+    total = np.add.reduce(counts, axis=-1)[:, None]
+    if measure == "gini_simpson":
+        p = counts / total
+        return 1.0 - np.add.reduce(p * p, axis=-1)
+    present = counts > 0
+    width = np.count_nonzero(present, axis=-1)
+    h = np.empty(len(counts))
+    for m in np.flatnonzero(np.bincount(width)):  # np.bincount, not np.unique: see README's Performance section
+        rows = np.flatnonzero(width == m)
+        p = counts[rows][present[rows]].reshape(rows.size, m) / total[rows]
+        h[rows] = 0.0 - np.add.reduce(p * np.log(p), axis=-1)  # not -sum: one class gives +0.0, not -0.0
+    return h
 
 
 def shannon_entropy(class_counts) -> float:
@@ -62,9 +85,7 @@ def shannon_entropy(class_counts) -> float:
     Maximal (ln k) for a balanced histogram over k classes, 0 when a single
     class holds every sample.
     """
-    counts, total = _histogram(class_counts, "entropy")
-    p = counts[counts > 0] / total
-    return float(0.0 - (p * np.log(p)).sum())  # not -sum: one class gives +0.0, not -0.0
+    return float(_uncertainties(_histogram(class_counts, "entropy"), "shannon")[0])
 
 
 def gini_simpson(class_counts) -> float:
@@ -73,9 +94,7 @@ def gini_simpson(class_counts) -> float:
     The probability that two independently drawn samples belong to different
     classes.  0 for a single class, 1 - 1/k for a balanced k-class histogram.
     """
-    counts, total = _histogram(class_counts, "gini-simpson")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+    return float(_uncertainties(_histogram(class_counts, "gini-simpson"), "gini_simpson")[0])
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +272,12 @@ class DiversityConfig:
         require_finite(self)
 
 
+def _profile(uncertainty: float, u_hat: float, n: int) -> DatasetProfile:
+    """The profile of ``n`` samples: the index is u_hat, clamped to [0, 1], times ln(1 + n)."""
+    u_hat = min(max(u_hat, 0.0), 1.0)
+    return DatasetProfile(uncertainty=float(uncertainty), diversity_index=u_hat * math.log1p(n))
+
+
 def dataset_diversity_index(
     dataset: LocalDataset,
     cfg: DiversityConfig,
@@ -266,7 +291,8 @@ def dataset_diversity_index(
     classification dataset must pass (so locally missing classes depress
     it), Gini-Simpson by 1 - 1/k, and the unbounded measures by the
     configured cap.  The index is u_hat * ln(1 + n_samples), so it grows
-    with data volume but only as fast as the data is actually mixed.
+    with data volume but only as fast as the data is actually mixed.  A
+    classification dataset is ``dataset_diversity_indices`` of one dataset.
 
     A time series in which no template pair matches is treated as maximally
     irregular (u_hat = 1).
@@ -277,16 +303,8 @@ def dataset_diversity_index(
     if dataset.task_kind == "classification":
         if n_classes is None:
             raise ValidationError("n_classes_required", "a classification index needs the global class count")
-        k = n_classes
-        counts = dataset.class_counts(k)
-        if cfg.classification_measure == "shannon":
-            uncertainty = shannon_entropy(counts)
-            cap = math.log(k) if k > 1 else 0.0
-        else:
-            uncertainty = gini_simpson(counts)
-            cap = 1.0 - 1.0 / k if k > 1 else 0.0
-        u_hat = uncertainty / cap if cap > 0 else 0.0
-    elif dataset.task_kind == "timeseries":
+        return dataset_diversity_indices([dataset], cfg, n_classes)[0]
+    if dataset.task_kind == "timeseries":
         series = dataset.features.ravel()
         try:
             uncertainty = sample_entropy(series, cfg.embedding_m, entropy_tolerance(series, cfg.tolerance_scale))
@@ -297,8 +315,38 @@ def dataset_diversity_index(
     else:  # clustering
         uncertainty = mean_pairwise_dissimilarity(dataset.features, cfg.metric, cfg.sample_size, seed)
         u_hat = uncertainty / cfg.uncertainty_cap
-    u_hat = min(max(u_hat, 0.0), 1.0)
-    return DatasetProfile(uncertainty=float(uncertainty), diversity_index=u_hat * math.log1p(n))
+    return _profile(uncertainty, u_hat, n)
+
+
+def dataset_diversity_indices(datasets: Sequence[LocalDataset], cfg: DiversityConfig, n_classes: int) -> list:
+    """``dataset_diversity_index`` of each classification dataset, from one label histogram.
+
+    The (datasets, n_classes) class counts are one ``np.bincount`` over
+    dataset x class, and every uncertainty is a row reduction of them, so
+    each profile is bit for bit the one its dataset gets alone.  Raises
+    ``EmptyDatasetError`` for an empty dataset and ``label_out_of_range``
+    for a label of ``n_classes`` or more, which would otherwise count in the
+    next dataset's bins.
+    """
+    if any(d.labels is None for d in datasets):
+        raise ValidationError("missing_labels")
+    sizes = [d.n_samples for d in datasets]
+    if 0 in sizes:
+        raise EmptyDatasetError("diversity of an empty dataset")
+    if not datasets:
+        return []
+    labels = np.concatenate([d.labels for d in datasets])
+    k = n_classes
+    if labels.max() >= k:
+        raise ValidationError("label_out_of_range", f"label {labels.max()} of {k} classes")
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(owner * k + labels, minlength=len(sizes) * k).reshape(len(sizes), k)
+    uncertainty = _uncertainties(counts.astype(float), cfg.classification_measure)
+    if cfg.classification_measure == "shannon":
+        cap = math.log(k) if k > 1 else 0.0
+    else:
+        cap = 1.0 - 1.0 / k if k > 1 else 0.0
+    return [_profile(u, u / cap if cap > 0 else 0.0, n) for u, n in zip(uncertainty.tolist(), sizes)]
 
 
 # --------------------------------------------------------------------------

@@ -14,13 +14,15 @@ bit-for-bit: identical configs yield identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from . import seeding
 from .datagen import FleetSpec, PartitionSpec, make_classification_pool, make_fleet, partition
 from .diversity import (
     DiversityConfig,
-    dataset_diversity_index,
+    dataset_diversity_index,  # not called here: perfbench/layers.py wraps this name
+    dataset_diversity_indices,
     model_diversity_index,  # not called here: perfbench/layers.py wraps this name
     model_diversity_indices,
     outlier_ceiling,
@@ -147,6 +149,16 @@ class SimulationState:
         """The index of the next round: one per record."""
         return len(self.records)
 
+    @cached_property
+    def dataset_indices(self) -> dict:
+        """Each device's reported dataset-diversity index, by id.
+
+        A device's dataset, and so the index it reports, is fixed for the
+        run, so each device's ``dataset_report`` is built once, on first use.
+        """
+        profiles = self.dataset_profiles
+        return {did: dataset_report(dev, profiles[did]).diversity_index for did, dev in self.devices.items()}
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -181,7 +193,7 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
     devices = {d.id: d for d in fleet}
 
     model = init_model(data.dim, data.n_classes, seeding.derive_seed(cfg.master_seed, seeding.MODEL_INIT))
-    profiles = {d.id: dataset_diversity_index(d.dataset, data.diversity, n_classes=data.n_classes) for d in fleet}
+    profiles = dict(zip(devices, dataset_diversity_indices([d.dataset for d in fleet], data.diversity, data.n_classes)))
     return SimulationState(
         cfg=cfg,
         devices=devices,
@@ -248,8 +260,7 @@ def _schedule(state: SimulationState, eligible: list, trained: dict) -> Schedule
     if cfg.policy == "diversity_post":
         return schedule_post_training(eligible, _model_indices(state, trained), k, *shared)
     if cfg.policy == "diversity_pre":
-        diversity = {d.id: dataset_report(d, state.dataset_profiles[d.id]).diversity_index for d in eligible}
-        return schedule_pre_training(eligible, diversity, k, cfg.weights, *shared)
+        return schedule_pre_training(eligible, state.dataset_indices, k, cfg.weights, *shared)
     if cfg.policy == "age_fair":
         return schedule_age_fair(eligible, k, state.round, *shared)
     seed = seeding.derive_seed(cfg.master_seed, seeding.SCHEDULING, state.round)

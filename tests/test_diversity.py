@@ -15,6 +15,7 @@ from feelsim.diversity import (
     DiversityConfig,
     approximate_entropy,
     dataset_diversity_index,
+    dataset_diversity_indices,
     entropy_tolerance,
     gini_simpson,
     mean_pairwise_dissimilarity,
@@ -312,6 +313,69 @@ def test_dataset_index_classification_needs_the_class_count():
     ds = LocalDataset("classification", np.zeros((4, 2)), np.array([0, 1, 1, 9]))
     with pytest.raises(ValidationError, match="n_classes_required"):
         dataset_diversity_index(ds, DiversityConfig())
+
+
+@st.composite
+def label_histograms(draw):
+    """(k, per-device class counts): drawn rows, then one with every class present, then single-class rows."""
+    k = draw(st.integers(min_value=2, max_value=12))
+    row = st.lists(st.integers(min_value=0, max_value=20), min_size=k, max_size=k).filter(any)
+    full = draw(st.lists(st.integers(min_value=1, max_value=20), min_size=k, max_size=k))
+    # k >= 8 present classes take numpy's pairwise sum; n = 1 and one class must give +0.0 entropy
+    return k, draw(st.lists(row, min_size=1, max_size=6)) + [full, [0] * (k - 1) + [1], [5] + [0] * (k - 1)]
+
+
+def histogram_rule(counts, measure: str) -> float:
+    """README's float order: one 1-D numpy sum over the present classes (Shannon) or every class (Gini-Simpson)."""
+    c = np.asarray(counts, dtype=float)
+    if measure == "shannon":
+        p = c[c > 0] / c.sum()
+        return float(0.0 - np.add.reduce(p * np.log(p)))
+    p = c / c.sum()
+    return float(1.0 - np.add.reduce(p * p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(label_histograms(), st.sampled_from(["shannon", "gini_simpson"]))
+def test_dataset_indices_are_each_dataset_alone_bit_for_bit(histograms, measure):
+    k, rows = histograms
+    cfg = DiversityConfig(classification_measure=measure)
+    datasets = [LocalDataset("classification", np.zeros((sum(r), 1)), np.repeat(np.arange(k), r)) for r in rows]
+    batch = dataset_diversity_indices(datasets, cfg, k)
+    shannon = measure == "shannon"
+    scalar, oracle = (shannon_entropy, oracles.shannon_entropy) if shannon else (gini_simpson, oracles.gini_simpson)
+    for counts, ds, got in zip(rows, datasets, batch):
+        alone = dataset_diversity_index(ds, cfg, n_classes=k)
+        assert got.uncertainty.hex() == alone.uncertainty.hex() == scalar(counts).hex()
+        assert got.uncertainty.hex() == histogram_rule(counts, measure).hex()
+        assert got.diversity_index.hex() == alone.diversity_index.hex()
+        # the oracle adds left to right with math.log; each of k terms may differ by about an ulp
+        want = oracle(counts)
+        assert abs(got.uncertainty - want) <= k * math.ulp(max(abs(want), 1.0))
+    for single in batch[-2:]:
+        assert single.uncertainty == 0.0 and math.copysign(1.0, single.uncertainty) == 1.0
+        assert single.diversity_index == 0.0
+
+
+def test_dataset_indices_refuse_a_label_outside_the_classes():
+    # a label of k or more would count in the next dataset's bins
+    ok = LocalDataset("classification", np.zeros((3, 1)), np.array([0, 1, 2]))
+    wide = LocalDataset("classification", np.zeros((3, 1)), np.array([0, 3, 1]))
+    with pytest.raises(ValidationError, match="label_out_of_range"):
+        dataset_diversity_indices([wide, ok], DiversityConfig(), 3)
+    with pytest.raises(ValidationError, match="label_out_of_range"):
+        dataset_diversity_index(wide, DiversityConfig(), n_classes=3)
+    assert len(dataset_diversity_indices([ok, ok], DiversityConfig(), 3)) == 2
+
+
+def test_dataset_indices_refuse_an_empty_or_unlabelled_dataset():
+    ok = LocalDataset("classification", np.zeros((3, 1)), np.array([0, 1, 1]))
+    empty = LocalDataset("classification", np.zeros((0, 1)), np.zeros(0, dtype=int))
+    with pytest.raises(EmptyDatasetError):
+        dataset_diversity_indices([ok, empty], DiversityConfig(), 2)
+    assert dataset_diversity_indices([], DiversityConfig(), 2) == []
+    with pytest.raises(ValidationError, match="missing_labels"):
+        dataset_diversity_indices([ok, LocalDataset("timeseries", np.zeros((3, 1)))], DiversityConfig(), 2)
 
 
 def test_dataset_index_gini_variant():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import feelsim.engine
 from feelsim import seeding
 from feelsim.datagen import FleetSpec, PartitionSpec
+from feelsim.diversity import DiversityConfig, dataset_diversity_index
 from feelsim.engine import (
     AGGREGATIONS,
     POLICIES,
@@ -207,6 +208,36 @@ def test_each_round_fades_every_device_through_the_engine_name(monkeypatch, poli
     n = cfg.fleet.n_devices
     assert len(calls) == n * cfg.rounds_max
     assert calls == [(did, r) for r in range(cfg.rounds_max) for did in range(n)]
+
+
+def test_each_device_reports_its_dataset_index_once_per_run(monkeypatch):
+    # the index is fixed for a run: pre mode builds each device's report once, post mode never
+    calls = []
+    report = feelsim.engine.dataset_report
+
+    def counted(device, profile):
+        calls.append(device.id)
+        return report(device, profile)
+
+    monkeypatch.setattr(feelsim.engine, "dataset_report", counted)
+    cfg = small_config(policy="diversity_pre")
+    result = run_simulation(cfg)
+    assert len(result.rounds) == cfg.rounds_max > 1
+    assert sorted(calls) == list(range(cfg.fleet.n_devices))
+    calls.clear()
+    run_simulation(small_config(policy="diversity_post"))
+    assert calls == []
+
+
+def test_build_state_profiles_are_each_dataset_indexed_alone():
+    for measure in ("shannon", "gini_simpson"):
+        data = replace(small_config().data, diversity=DiversityConfig(classification_measure=measure))
+        state = build_state(small_config(data=data))
+        for did, dev in state.devices.items():
+            alone = dataset_diversity_index(dev.dataset, data.diversity, n_classes=data.n_classes)
+            got = state.dataset_profiles[did]
+            assert got.uncertainty.hex() == alone.uncertainty.hex()
+            assert got.diversity_index.hex() == alone.diversity_index.hex()
 
 
 # ---------------------------------------------------------------- post mode
