@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config_io import PARSERS, ExperimentSpec, load_config, spec_with_overrides
+from .config_io import PARSERS, ExperimentSpec, load_config
 from .diversity import (
     DiversityConfig,
     approximate_entropy,
@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     try:
         spec = load_config(args.config)
         seeds = PARSERS[list[int]](args.seeds) if args.seeds is not None else None
-        spec = spec_with_overrides(spec, out_dir=args.out, seeds=seeds, schedulers=args.scheduler)
+        given = {"output_dir": args.out, "seeds": seeds, "schedulers": args.scheduler}
+        spec = replace(spec, **{field: value for field, value in given.items() if value is not None})
     except (FeelsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

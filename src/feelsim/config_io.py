@@ -213,17 +213,3 @@ def load_config(path: str) -> ExperimentSpec:
         raise ConfigError(f"{path}: {exc}") from exc
     return ExperimentSpec(base=base, **{key: value for key, value in values.items() if "." not in key})
 
-
-def spec_with_overrides(
-    spec: ExperimentSpec,
-    out_dir: Optional[str] = None,
-    seeds: Optional[list] = None,
-    schedulers: Optional[list] = None,
-) -> ExperimentSpec:
-    """Apply command-line overrides on top of a loaded spec."""
-    return replace(
-        spec,
-        output_dir=out_dir if out_dir is not None else spec.output_dir,
-        seeds=seeds if seeds is not None else spec.seeds,
-        schedulers=schedulers if schedulers is not None else spec.schedulers,
-    )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import DatasetProfile, LocalDataset, ModelParams, require_finite, require_simplex
 from .errors import (
@@ -101,14 +100,25 @@ def gini_simpson(class_counts) -> float:
 # time-series irregularity
 
 
+_TEMPLATE_BLOCK = 256  # templates compared with all the others at once
+
+
 def _template_counts(x: np.ndarray, m: int, r: float) -> np.ndarray:
     """For each length-m template, how many templates lie within Chebyshev r.
 
-    Counts include the self-match (distance zero).
+    Counts include the self-match (distance zero).  Time is O(n^2 m); the
+    templates are compared in row blocks, one coordinate at a time, so
+    memory stays O(n).
     """
-    templates = sliding_window_view(x, m)
-    dist = np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2)
-    return (dist <= r).sum(axis=1)
+    n = x.size - m + 1
+    counts = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _TEMPLATE_BLOCK):
+        hi = min(lo + _TEMPLATE_BLOCK, n)
+        dist = np.abs(x[lo:hi, None] - x[None, :n])
+        for j in range(1, m):  # the Chebyshev distance is the largest coordinate gap
+            np.maximum(dist, np.abs(x[lo + j : hi + j, None] - x[None, j : j + n]), out=dist)
+        counts[lo:hi] = (dist <= r).sum(axis=1)
+    return counts
 
 
 def _finite(series) -> np.ndarray:

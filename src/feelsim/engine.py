@@ -206,11 +206,7 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
 
 def dataset_report(device: DeviceProfile, profile: DatasetProfile) -> DeviceReport:
     """What a device tells the server before training: one scalar + battery."""
-    return DeviceReport(
-        device_id=device.id,
-        diversity_index=float(profile.diversity_index),
-        battery_level=float(device.battery_level),
-    )
+    return model_report(device, profile.diversity_index)
 
 
 def model_report(device: DeviceProfile, index: float) -> DeviceReport:

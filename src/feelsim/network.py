@@ -47,7 +47,6 @@ def channel_rate(channel: ChannelState, bandwidth: float) -> float:
         raise ValueError("bandwidth must be nonnegative")
     if bandwidth == 0:
         return 0.0
-    # not bandwidth * _spectral_efficiency(channel): that rounds differently
     return bandwidth * _log1p_snr(channel.snr_db) / math.log(2.0)
 
 
@@ -62,10 +61,6 @@ def _log1p_snr(snr_db: float) -> float:
         return math.log1p(10.0**tenth)
     except OverflowError:
         return tenth * math.log(10.0) + math.log1p(10.0**-tenth)
-
-
-def _spectral_efficiency(channel: ChannelState) -> float:
-    return _log1p_snr(channel.snr_db) / math.log(2.0)
 
 
 def _cycles(device: DeviceProfile, n_samples: int, epochs: int) -> float:
@@ -98,7 +93,8 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     ``equal`` gives every device total_bandwidth / n.  ``equalize_completion``
     solves, by bisection on the common finish time T, for the shares that let
     every device end together: b_k = bits / (s_k * (T - compute_k)) with
-    bits the model size and s_k the spectral efficiency.  A device whose
+    bits the model size and s_k the spectral efficiency, the rate of one
+    hertz (``channel_rate(channel, 1.0)``).  A device whose
     spectral efficiency underflows to zero cannot finish under any finite T,
     so it raises ``UnreachableDeviceError``, as ``expected_completion_time``
     does for the filter.
@@ -113,7 +109,7 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
         return {d.id: equal_share for d in selected}
 
     bits = cfg.model_size_bits
-    eff = {d.id: _spectral_efficiency(d.channel) for d in selected}
+    eff = {d.id: channel_rate(d.channel, 1.0) for d in selected}
     for d in selected:
         if eff[d.id] <= 0.0:
             raise UnreachableDeviceError(f"device {d.id} rate underflowed at snr {d.channel.snr_db} dB")

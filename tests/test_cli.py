@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from feelsim.cli import _print_comparison, main, run_experiment
-from feelsim.config_io import ExperimentSpec, load_config, spec_with_overrides
+from feelsim.config_io import ExperimentSpec, load_config
 from feelsim.diversity import approximate_entropy, sample_entropy
 from feelsim.engine import SimulationConfig, build_state
 from feelsim.errors import ConfigError
@@ -173,7 +174,7 @@ def test_unknown_scheduler_is_a_config_error(tmp_path):
         load_config(_write(tmp_path, text))
     spec = load_config(_write(tmp_path, MINIMAL))
     with pytest.raises(ConfigError, match="unknown scheduler 'psychic'"):
-        spec_with_overrides(spec, schedulers=["psychic"])
+        replace(spec, schedulers=["psychic"])
 
 
 @pytest.mark.parametrize(
@@ -190,7 +191,7 @@ def test_repeated_seed_or_scheduler_is_a_config_error(tmp_path, setting, overrid
         load_config(_write(tmp_path, f"[experiment]\nname = x\n{setting}\n"))
     spec = load_config(_write(tmp_path, MINIMAL))
     with pytest.raises(ConfigError, match="repeated"):
-        spec_with_overrides(spec, **override)
+        replace(spec, **override)
 
 
 SHIPPED_CONFIGS = [*sorted(REPO.glob("configs/*.cfg")), REPO / "perfbench" / "policy_sweep.cfg"]
@@ -201,14 +202,21 @@ def test_shipped_configs_load(path):
     assert load_config(str(path)).name == path.stem
 
 
-def test_overrides(tmp_path):
-    spec = load_config(_write(tmp_path, MINIMAL))
-    out = spec_with_overrides(spec, out_dir="/tmp/elsewhere", seeds=[7], schedulers=["random"])
-    assert out.output_dir == "/tmp/elsewhere"
+def test_overrides(tmp_path, monkeypatch):
+    # main hands run_experiment the loaded spec with only the given flags replaced
+    path = _write(tmp_path, MINIMAL)
+    ran = []
+    monkeypatch.setattr("feelsim.cli.run_experiment", lambda spec: ran.append(spec) or 0)
+    elsewhere = str(tmp_path / "elsewhere")
+    assert main(["run", path, "--out", elsewhere, "--seeds", "7", "--scheduler", "random"]) == 0
+    out = ran.pop()
+    assert out.output_dir == elsewhere
     assert out.seeds == [7]
     assert out.schedulers == ["random"]
-    untouched = spec_with_overrides(spec)
-    assert untouched == spec
+    assert main(["run", path, "--seeds", "7"]) == 0
+    assert ran.pop() == replace(load_config(path), seeds=[7])
+    assert main(["run", path]) == 0
+    assert ran.pop() == load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +319,7 @@ def test_target_accuracy_none_parses(tmp_path):
 
 def test_run_experiment_writes_expected_tree(tmp_path, capsys):
     spec = load_config(_write(tmp_path, SMALL_RUN))
-    spec = spec_with_overrides(spec, out_dir=str(tmp_path / "out"))
+    spec = replace(spec, output_dir=str(tmp_path / "out"))
     assert run_experiment(spec) == 0
 
     root = tmp_path / "out" / "tiny"
@@ -369,7 +377,7 @@ def test_table_median_rounds_counts_missed_runs_past_the_budget(capsys):
 def test_run_experiment_is_byte_deterministic(tmp_path):
     spec = load_config(_write(tmp_path, SMALL_RUN))
     for out in ("a", "b"):
-        run_experiment(spec_with_overrides(spec, out_dir=str(tmp_path / out)))
+        run_experiment(replace(spec, output_dir=str(tmp_path / out)))
     for rel in ("tiny/summary.csv", "tiny/random/seed_1/rounds.csv"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 

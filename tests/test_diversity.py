@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from feelsim.diversity import (
     DissimilarityMetric,
     DiversityConfig,
+    _template_counts,
     approximate_entropy,
     dataset_diversity_index,
     dataset_diversity_indices,
@@ -194,6 +197,35 @@ def test_entropies_invariant_under_offset(seed):
     except NoTemplateMatchesError:
         return
     assert sample_entropy(x + shift, 2, r) == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+
+def one_pass_template_counts(x, m, r):
+    """Every template against every other in one (n, n, m) array: the rule the row blocks split up."""
+    templates = sliding_window_view(x, m)
+    return (np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2) <= r).sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_templates", [255, 256, 257, 513])
+def test_blocked_template_counts_equal_the_one_pass_rule(n_templates, m):
+    # one short of, at and one past a 256-row block, and one past two blocks
+    # values rounded to 0.1 put many distances on or near r
+    x = np.round(np.random.default_rng(n_templates * 3 + m).normal(size=n_templates + m - 1), 1)
+    got, want = _template_counts(x, m, 0.3), one_pass_template_counts(x, m, 0.3)
+    assert got.dtype == want.dtype and got.shape == (n_templates,)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_sample_entropy_memory_does_not_grow_with_the_square_of_the_length():
+    # one (n, n, m) float array of this series alone is 900 * 900 * 3 * 8 bytes, 18.5 MiB
+    x = np.random.default_rng(5).normal(size=900)
+    tracemalloc.start()
+    try:
+        sample_entropy(x, 2, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ----------------------------------------------------- pairwise dissimilarity
