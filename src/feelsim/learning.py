@@ -18,6 +18,7 @@ regardless of caller ordering.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
+
+_GATHER_ROWS = 1024  # rows of features and one-hot labels train_many gathers at a time
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,16 @@ def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:
     return ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
 
 
-def _gradients(w: np.ndarray, xb: np.ndarray, yb: np.ndarray, l2_reg: float) -> np.ndarray:
+def _gradients(w: np.ndarray, xb: np.ndarray, onehot: np.ndarray, l2_reg: float) -> np.ndarray:
     """The loss gradient of each slice of a stack: (G, k, dim+1) blocks.
 
     Slice g is the gradient at weights ``w[g]`` on the rows ``xb[g]`` with
-    labels ``yb[g]``, bit for bit what it is with G = 1: each product is a
-    stack of per-slice products, which numpy computes slice by slice with
-    the same gemm call, and each sum runs along the same contiguous axis as
-    it does for one slice.  Subtracting 1 at each label equals subtracting a
-    one-hot row, since x - 0.0 == x for every float.
+    one-hot labels ``onehot[g]``, bit for bit what it is with G = 1: each
+    product is a stack of per-slice products, which numpy computes slice by
+    slice with the same gemm call, and each sum runs along the same
+    contiguous axis as it does for one slice.  Subtracting the one-hot row
+    equals subtracting 1 at the label alone, since x - 0.0 == x for every
+    float, -0.0 and NaN included.
     """
     n, dim = xb.shape[1:]
     w_mat = w[:, :, :dim]
@@ -124,7 +128,7 @@ def _gradients(w: np.ndarray, xb: np.ndarray, yb: np.ndarray, l2_reg: float) -> 
     probs -= np.maximum.reduce(probs, axis=2, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=2)[:, :, None]
-    probs.reshape(yb.size, -1)[np.arange(yb.size), yb.ravel()] -= 1.0
+    probs -= onehot
     probs /= n
     grad = np.empty_like(w)
     grad_w = grad[:, :, :dim]
@@ -145,7 +149,8 @@ def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
     logits, z = _softmax(features, w_mat, bias)
     loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
     blocks = weights.reshape(1, -1, dim + 1)
-    return loss, _gradients(blocks, features[None], labels[None], l2_reg).ravel()
+    onehot = np.eye(blocks.shape[1])[labels]
+    return loss, _gradients(blocks, features[None], onehot[None], l2_reg).ravel()
 
 
 def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device_id: int = 0) -> Update:
@@ -170,10 +175,15 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     The devices whose minibatches fall in the same slot of
     ``_lockstep_steps`` take one stacked step (``_gradients``): the j-th
     full minibatch of every device in one slot, and every ragged last
-    minibatch of one length in another.  A step's rows are gathered through
-    an index into one concatenation of the devices' data, so no shuffled
-    copy of a dataset is made.  A dataset whose feature width or labels do
-    not fit the model raises ``ShapeMismatchError`` naming its index.
+    minibatch of one length in another.  The call puts every step's rows in
+    step order once, as an index into one concatenation of the devices'
+    data, so a stacked step is one contiguous slice of it.  Features and
+    one-hot labels (rows of ``np.eye(k)``) are gathered for a run of whole
+    steps at a time, at most ``_GATHER_ROWS`` rows unless one step alone
+    has more.  A step's slice, reshaped to (G, L, dim), has the shape and
+    strides a gather of that step alone would have, so its products keep
+    their bits.  A dataset whose feature width or labels do not fit the
+    model raises ``ShapeMismatchError`` naming its index.
     """
     if not datasets:
         return []
@@ -193,15 +203,24 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     if labels.max() >= n_classes:
         i = np.searchsorted(np.cumsum(sizes), np.argmax(labels >= n_classes), side="right")
         raise ShapeMismatchError(f"dataset {i} has a label at or above the model's {n_classes} classes")
-    order = _shuffled_rows(sizes, seeds, cfg.epochs)
     device, first, length, edges = _lockstep_steps(sizes, cfg.batch_size, cfg.epochs)
+    ends = np.cumsum(length)
+    rows = _shuffled_rows(sizes, seeds, cfg.epochs)[np.repeat(first - (ends - length), length) + np.arange(ends[-1])]
+    cuts = np.concatenate(([0], ends))[edges].tolist()  # where each stacked step's rows start, then their end
     features = np.concatenate([data.features for data in datasets])
+    eye = np.eye(n_classes)
     weights = np.tile(model.weights, (len(datasets), 1)).reshape(len(datasets), -1, dim + 1)
-    for lo, hi in zip(edges, edges[1:]):
+    end = 0
+    for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
+        if b > end:  # gather the whole steps from here on that fit in _GATHER_ROWS rows, at least this one
+            start, end = a, max(b, cuts[bisect.bisect_right(cuts, a + _GATHER_ROWS) - 1])
+            block = rows[start:end]
+            x, onehot = features[block], eye[labels[block]]
         ids = device[lo:hi]
-        rows = order[first[lo:hi, None] + np.arange(length[lo])]
         w = weights[ids]
-        grad = _gradients(w, features[rows], labels[rows], cfg.l2_reg)
+        xb = x[a - start : b - start].reshape(hi - lo, -1, dim)
+        yb = onehot[a - start : b - start].reshape(hi - lo, -1, n_classes)
+        grad = _gradients(w, xb, yb, cfg.l2_reg)
         grad *= cfg.learning_rate
         w -= grad
         weights[ids] = w

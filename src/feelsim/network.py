@@ -109,26 +109,27 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
         return {d.id: equal_share for d in selected}
 
     bits = cfg.model_size_bits
-    eff = {d.id: channel_rate(d.channel, 1.0) for d in selected}
-    for d in selected:
-        if eff[d.id] <= 0.0:
+    eff = [channel_rate(d.channel, 1.0) for d in selected]
+    for d, e in zip(selected, eff):
+        if e <= 0.0:
             raise UnreachableDeviceError(f"device {d.id} rate underflowed at snr {d.channel.snr_db} dB")
-    comp = {d.id: compute_time(d, d.dataset.n_samples, epochs) for d in selected}
+    comp = [compute_time(d, d.dataset.n_samples, epochs) for d in selected]
+    terms = list(zip(eff, comp))
 
     def demand(t: float) -> float:
-        return sum(bits / (eff[d.id] * (t - comp[d.id])) for d in selected)
+        return sum(bits / (e * (t - c)) for e, c in terms)
 
-    lo = max(comp.values())
-    hi = max(comp[d.id] + bits / (eff[d.id] * equal_share) for d in selected)
+    lo = max(comp)
+    hi = max(c + bits / (e * equal_share) for e, c in terms)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         if demand(mid) > band:
             lo = mid
         else:
             hi = mid
-    raw = {d.id: bits / (eff[d.id] * (hi - comp[d.id])) for d in selected}
-    scale = band / sum(raw.values())
-    return {did: share * scale for did, share in raw.items()}
+    raw = [bits / (e * (hi - c)) for e, c in terms]
+    scale = band / sum(raw)
+    return {d.id: share * scale for d, share in zip(selected, raw)}
 
 
 def energy_compute(device: DeviceProfile, n_samples: int, epochs: int) -> float:
