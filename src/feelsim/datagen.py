@@ -217,21 +217,31 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
     Each device draws from its own seed substream, so fleet composition for
     device i never depends on how many other devices exist.  Per-device SNR
     means are normal in dB (lognormal in linear SNR) around the population
-    mean.
+    mean.  After its one standard normal, a device takes four uniforms from
+    one ``rng.random(4)``: cycles per sample, CPU frequency, battery and
+    transmit power, in that order, each as ``lo + (hi - lo) * u``.  That is
+    numpy's own ``uniform(lo, hi)`` formula, and one ``random(4)`` draws the
+    doubles of four calls in a row, so every field has the bits of four
+    ``rng.uniform`` calls.
     """
     if len(datasets) != spec.n_devices:
         raise ValidationError("fleet_dataset_mismatch", f"{len(datasets)} != {spec.n_devices}")
+    cycles_lo, cycles_span = spec.cycles_per_sample_min, spec.cycles_per_sample_max - spec.cycles_per_sample_min
+    freq_lo, freq_span = spec.cpu_freq_min, spec.cpu_freq_max - spec.cpu_freq_min
+    battery_lo, battery_span = spec.battery_min, spec.battery_max - spec.battery_min
+    power_lo, power_span = spec.tx_power_min, spec.tx_power_max - spec.tx_power_min
     fleet = []
     seeds = seeding.substream_seeds(master_seed, seeding.FLEET, range(len(datasets)))
     for i, (dataset, seed) in enumerate(zip(datasets, seeds)):
         rng = np.random.default_rng(seed)
         mean_snr = spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal()
+        u_cycles, u_freq, u_battery, u_power = rng.random(4).tolist()
         profile = DeviceProfile(
             id=i,
-            cpu_cycles_per_sample=rng.uniform(spec.cycles_per_sample_min, spec.cycles_per_sample_max),
-            cpu_freq=rng.uniform(spec.cpu_freq_min, spec.cpu_freq_max),
-            battery_level=rng.uniform(spec.battery_min, spec.battery_max),
-            tx_power=rng.uniform(spec.tx_power_min, spec.tx_power_max),
+            cpu_cycles_per_sample=cycles_lo + cycles_span * u_cycles,
+            cpu_freq=freq_lo + freq_span * u_freq,
+            battery_level=battery_lo + battery_span * u_battery,
+            tx_power=power_lo + power_span * u_power,
             energy_per_cycle=spec.energy_per_cycle,
             capacity_joules=spec.capacity_joules,
             channel=ChannelState(snr_db=float(mean_snr), mean_snr_db=float(mean_snr), std_snr_db=spec.std_snr_db),

@@ -311,7 +311,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         participants=participants,
         global_accuracy=accuracy,
         global_loss=loss,
-        jain_fairness=jain_fairness({did: d.participation_count for did, d in state.devices.items()}),
+        jain_fairness=jain_fairness([d.participation_count for d in state.devices.values()]),
         device_times=times,
         device_energy=energies,
     )

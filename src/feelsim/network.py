@@ -97,16 +97,20 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     hertz (``channel_rate(channel, 1.0)``).  A device whose
     spectral efficiency underflows to zero cannot finish under any finite T,
     so it raises ``UnreachableDeviceError``, as ``expected_completion_time``
-    does for the filter.
+    does (``filter_eligible`` drops such a device).
 
-    Shares always sum to the total bandwidth.
+    Shares always sum to the total bandwidth, so an id may appear only once:
+    a repeated one raises ``ValidationError("duplicate_device")``.
     """
     if not selected:
         raise NoParticipantsError("no devices to allocate bandwidth to")
     band = cfg.total_bandwidth
     equal_share = band / len(selected)
+    shares = {d.id: equal_share for d in selected}
+    if len(shares) != len(selected):
+        raise ValidationError("duplicate_device", f"{len(selected) - len(shares)} repeated ids")
     if cfg.allocation_strategy == "equal":
-        return {d.id: equal_share for d in selected}
+        return shares
 
     bits = cfg.model_size_bits
     eff = [channel_rate(d.channel, 1.0) for d in selected]

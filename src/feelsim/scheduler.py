@@ -31,8 +31,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .domain import DeviceProfile, ScheduleDecision, require_finite, require_simplex
-from .errors import DegenerateWeightsError, UnreachableDeviceError, ValidationError
-from .network import NetworkConfig, allocate_bandwidth, expected_completion_time
+from .errors import DegenerateWeightsError, ValidationError
+from .network import (
+    NetworkConfig,
+    _log1p_snr,
+    allocate_bandwidth,
+    expected_completion_time,  # not called here: perfbench/layers.py wraps this name
+)
 
 
 @dataclass(frozen=True)
@@ -75,22 +80,38 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
     The completion check uses an equal share of the band across all offered
     devices, the most pessimistic share a selected device could end up with.
     Devices whose rate underflows are unreachable and dropped.
+
+    One pass with the network formulas written out, in the operation order
+    of ``expected_completion_time(dev, net, share, epochs)``:
+    ``epochs * n * cycles / f + bits / (share * ln(1 + snr) / ln 2)``, so
+    every completion time has its bits.  As there, a share that underflows
+    to 0 raises ``ValueError`` once a device passes the battery, SNR and
+    size checks, and so does ``epochs < 1`` once one of them is reachable.
     """
     offered = list(devices)
     share = net.total_bandwidth / max(len(offered), 1)
+    min_battery, min_snr, min_size = constraints.min_battery, constraints.min_snr_db, constraints.min_data_size
+    deadline, bits, ln2 = constraints.completion_threshold, net.model_size_bits, math.log(2.0)
     eligible = []
     for dev in offered:
-        if dev.battery_level <= 0 or dev.battery_level < constraints.min_battery:
+        battery = dev.battery_level
+        if battery <= 0 or battery < min_battery:
             continue
-        if dev.channel.snr_db < constraints.min_snr_db:
+        snr = dev.channel.snr_db
+        if snr < min_snr:
             continue
-        if dev.dataset.n_samples < constraints.min_data_size:
+        n = dev.dataset.n_samples
+        if n < min_size:
             continue
-        try:
-            completion = expected_completion_time(dev, net, share, epochs)
-        except UnreachableDeviceError:
-            continue
-        if completion > constraints.completion_threshold:
+        rate = share * _log1p_snr(snr) / ln2
+        if not rate > 0.0:  # a share of 0 gives a rate of 0 or NaN
+            if share <= 0:
+                raise ValueError("bandwidth must be positive")
+            if rate <= 0.0:
+                continue  # unreachable
+        if epochs < 1:
+            raise ValueError("need n_samples >= 0 and epochs >= 1")
+        if epochs * n * dev.cpu_cycles_per_sample / dev.cpu_freq + bits / rate > deadline:
             continue
         eligible.append(dev)
     return eligible

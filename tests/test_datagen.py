@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from feelsim import seeding
 from feelsim.datagen import (
     FleetSpec,
     PartitionSpec,
@@ -230,3 +231,75 @@ def test_fleet_device_streams_are_independent():
     for a, b in zip(small, large):
         assert a.cpu_freq == b.cpu_freq
         assert a.channel.snr_db == b.channel.snr_db
+
+
+def _reference_fleet_fields(spec: FleetSpec, master_seed: int) -> list:
+    """Each device's float fields as ``float.hex``, drawn with one ``rng.uniform`` call per field."""
+    rows = []
+    for seed in seeding.substream_seeds(master_seed, seeding.FLEET, range(spec.n_devices)):
+        rng = np.random.default_rng(seed)
+        mean_snr = float(spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal())
+        cycles = rng.uniform(spec.cycles_per_sample_min, spec.cycles_per_sample_max)
+        freq = rng.uniform(spec.cpu_freq_min, spec.cpu_freq_max)
+        battery = rng.uniform(spec.battery_min, spec.battery_max)
+        power = rng.uniform(spec.tx_power_min, spec.tx_power_max)
+        values = (cycles, freq, battery, power, spec.energy_per_cycle, spec.capacity_joules)
+        rows.append([float(v).hex() for v in values + (mean_snr, mean_snr, spec.std_snr_db)])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FleetSpec(n_devices=40),
+        FleetSpec(n_devices=1),
+        FleetSpec(
+            n_devices=25,
+            cpu_freq_min=1e9,
+            cpu_freq_max=1e9,
+            cycles_per_sample_min=3e5,
+            cycles_per_sample_max=3e5,
+            tx_power_min=0.4,
+            tx_power_max=0.4,
+            battery_min=1.0,
+            battery_max=1.0,
+        ),
+        FleetSpec(n_devices=25, tx_power_min=0.0, tx_power_max=3.0, battery_min=1e-300, snr_spread_db=0.0),
+        FleetSpec(
+            n_devices=25,
+            cpu_freq_min=5e-324,
+            cpu_freq_max=1.7976931348623157e308,
+            cycles_per_sample_min=1e-300,
+            cycles_per_sample_max=1e300,
+            tx_power_min=0.0,
+            tx_power_max=1e308,
+            mean_snr_db=-1e3,
+            snr_spread_db=1e3,
+        ),
+    ],
+    ids=["default", "one_device", "min_eq_max", "silent_and_wide_battery", "very_wide"],
+)
+@pytest.mark.parametrize("master_seed", [0, 11, 2**31 - 1])
+def test_fleet_fields_have_the_bits_of_one_uniform_call_each(spec, master_seed):
+    # make_fleet takes its four uniforms from one rng.random(4) as lo + (hi - lo) * u
+    datasets = [_uniform_pool(n=4)] * spec.n_devices
+    fleet = make_fleet(spec, datasets, master_seed)
+    got = [
+        [
+            float(v).hex()
+            for v in (
+                d.cpu_cycles_per_sample,
+                d.cpu_freq,
+                d.battery_level,
+                d.tx_power,
+                d.energy_per_cycle,
+                d.capacity_joules,
+                d.channel.snr_db,
+                d.channel.mean_snr_db,
+                d.channel.std_snr_db,
+            )
+        ]
+        for d in fleet
+    ]
+    assert got == _reference_fleet_fields(spec, master_seed)
+    assert all(type(v) is float for d in fleet for v in (d.cpu_freq, d.battery_level, d.tx_power))

@@ -126,6 +126,19 @@ def test_allocation_empty_selection():
         allocate_bandwidth([], NetworkConfig(), epochs=1)
 
 
+@pytest.mark.parametrize("strategy", ["equal", "equalize_completion"])
+def test_allocation_refuses_a_repeated_device(strategy):
+    # one id twice would get two shares but keep one, so the shares could not sum to the band
+    d0, d1 = make_device(device_id=0), make_device(device_id=1, snr_db=4.0)
+    cfg = NetworkConfig(total_bandwidth=1e6, allocation_strategy=strategy)
+    with pytest.raises(ValidationError) as info:
+        allocate_bandwidth([d0, d1, d0], cfg, epochs=1)
+    assert info.value.code == "duplicate_device"
+    with pytest.raises(ValidationError, match="1 repeated ids"):
+        allocate_bandwidth([d0, d1, make_device(device_id=1, snr_db=9.0)], cfg, epochs=1)  # another profile, same id
+    assert sum(allocate_bandwidth([d0, d1], cfg, epochs=1).values()) == pytest.approx(1e6, rel=1e-12)
+
+
 def _equalize_cfg(bw=1e6):
     return NetworkConfig(total_bandwidth=bw, model_size_bits=1e6, allocation_strategy="equalize_completion")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_device
-from feelsim.errors import DegenerateWeightsError, ValidationError
-from feelsim.network import NetworkConfig
+from feelsim.domain import ChannelState, DeviceProfile
+from feelsim.errors import DegenerateWeightsError, UnreachableDeviceError, ValidationError
+from feelsim.network import NetworkConfig, expected_completion_time
 from feelsim.scheduler import (
     ConstraintConfig,
     ScoreWeights,
@@ -105,6 +107,153 @@ def test_filter_unreachable_dropped_and_order_preserved():
     ]
     out = filter_eligible(devices, LAX, NET, epochs=1)
     assert [d.id for d in out] == [2, 1]
+
+
+def _scalar_filter(devices, constraints, net, epochs):
+    """The eligibility loop that calls ``expected_completion_time`` per device."""
+    offered = list(devices)
+    share = net.total_bandwidth / max(len(offered), 1)
+    eligible = []
+    for dev in offered:
+        if dev.battery_level <= 0 or dev.battery_level < constraints.min_battery:
+            continue
+        if dev.channel.snr_db < constraints.min_snr_db:
+            continue
+        if dev.dataset.n_samples < constraints.min_data_size:
+            continue
+        try:
+            completion = expected_completion_time(dev, net, share, epochs)
+        except UnreachableDeviceError:
+            continue
+        if completion > constraints.completion_threshold:
+            continue
+        eligible.append(dev)
+    return eligible
+
+
+_DATASETS = {n: make_device(n_samples=n).dataset for n in (1, 2, 7, 16, 60)}
+_BATTERIES = st.one_of(st.sampled_from([0.0, 0.05, 1.0]), st.floats(0.0, 1.0))
+# an underflowing rate, and two SNRs past the overflow of 10 ** (snr / 10)
+_SNRS = st.one_of(st.sampled_from([-4000.0, 0.0, 3085.0, 5000.0]), st.floats(-40.0, 60.0))
+_SIZES = st.sampled_from(sorted(_DATASETS))
+
+
+def _profile(i, battery, snr, n, cycles=1e6, freq=1e9):
+    channel = ChannelState(float(snr), float(snr), 2.0)
+    return DeviceProfile(i, float(cycles), float(freq), battery, 0.5, 1e-9, 200.0, channel, _DATASETS[n])
+
+
+def _completion(dev, net, n_offered, epochs):
+    try:
+        return expected_completion_time(dev, net, net.total_bandwidth / n_offered, epochs)
+    except UnreachableDeviceError:
+        return math.inf
+
+
+@st.composite
+def _filter_cases(draw):
+    epochs = draw(st.integers(1, 3))
+    net = NetworkConfig(
+        total_bandwidth=draw(st.sampled_from([2e4, 1e6, 1e9])), model_size_bits=draw(st.sampled_from([1e5, 3e7]))
+    )
+    devices = [
+        _profile(
+            i,
+            draw(_BATTERIES),
+            draw(_SNRS),
+            draw(_SIZES),
+            draw(st.floats(1e3, 1e7)),
+            draw(st.floats(1e7, 3e9)),
+        )
+        for i in range(draw(st.integers(1, 8)))
+    ]
+    # each floor may sit exactly on some device's value
+    on = st.sampled_from(devices)
+    constraints = ConstraintConfig(
+        min_battery=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), on.map(lambda d: d.battery_level))),
+        min_snr_db=draw(st.one_of(st.just(-math.inf), st.floats(-50.0, 50.0), on.map(lambda d: d.channel.snr_db))),
+        min_data_size=draw(st.one_of(st.integers(0, 70), on.map(lambda d: d.dataset.n_samples))),
+        completion_threshold=draw(
+            st.one_of(
+                st.just(math.inf),
+                st.floats(1e-3, 1e3),
+                on.map(lambda d: _completion(d, net, len(devices), epochs)),
+            )
+        ),
+    )
+    return devices, constraints, net, epochs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_filter_cases())
+def test_filter_matches_the_scalar_loop(case):
+    devices, constraints, net, epochs = case
+    assert [d.id for d in filter_eligible(devices, constraints, net, epochs)] == [
+        d.id for d in _scalar_filter(devices, constraints, net, epochs)
+    ]
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_filter_keeps_devices_exactly_on_every_floor(epochs):
+    fleet = [
+        _profile(0, 0.05, 0.0, 16),  # on the battery floor
+        _profile(1, 0.5, -10.0, 16),  # on the SNR floor
+        _profile(2, 0.5, 5.0, 7),  # on the size floor
+        _profile(3, 0.5, 5.0, 60, cycles=1e7, freq=1e7),  # on the deadline, set below
+        _profile(4, 0.5, -4000.0, 16),  # its rate underflows to 0
+        _profile(5, 0.5, 3085.0, 16),  # 10 ** (snr / 10) overflows
+        _profile(6, 0.5, 5.0, 2),  # under the size floor
+        _profile(7, 0.049, 5.0, 16),  # under the battery floor
+    ]
+    net = NetworkConfig(total_bandwidth=1e6, model_size_bits=1e5)
+    deadline = _completion(fleet[3], net, len(fleet), epochs)
+    constraints = ConstraintConfig(min_battery=0.05, min_snr_db=-10.0, min_data_size=7, completion_threshold=deadline)
+    out = filter_eligible(fleet, constraints, net, epochs)
+    assert [d.id for d in out] == [d.id for d in _scalar_filter(fleet, constraints, net, epochs)] == [0, 1, 2, 3, 5]
+    # one ulp under the deadline drops only the device that sat on it
+    tighter = replace(constraints, completion_threshold=math.nextafter(deadline, 0.0))
+    assert [d.id for d in filter_eligible(fleet, tighter, net, epochs)] == [0, 1, 2, 5]
+    # a drained device stays out under a floor of 0, and no deadline keeps all the rest that are reachable
+    lax = ConstraintConfig(min_battery=0.0, min_snr_db=-math.inf, min_data_size=0)
+    drained = [_profile(8, 0.0, 5.0, 16), *fleet]
+    assert [d.id for d in filter_eligible(drained, lax, net, epochs)] == [0, 1, 2, 3, 5, 6, 7]
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_filter_deadline_is_exact_to_the_ulp(epochs):
+    # awkward values, with compute or upload dominating by turns, so a reordered term moves some time by an ulp
+    rng = np.random.default_rng(epochs)
+    sizes = sorted(_DATASETS)
+    fleet = [
+        _profile(i, 0.9, rng.uniform(-5.0, 30.0), sizes[i % 5], rng.uniform(1e5, 3e6), 10 ** rng.uniform(5.0, 9.5))
+        for i in range(16)
+    ]
+    net = NetworkConfig(total_bandwidth=1.3e6, model_size_bits=7.7e4)
+    for dev in fleet:
+        at = ConstraintConfig(min_snr_db=-math.inf, completion_threshold=_completion(dev, net, len(fleet), epochs))
+        assert dev in filter_eligible(fleet, at, net, epochs)
+        under = replace(at, completion_threshold=math.nextafter(at.completion_threshold, 0.0))
+        assert dev not in filter_eligible(fleet, under, net, epochs)
+
+
+def test_filter_share_underflow_raises_only_once_a_device_passes_the_floors():
+    # 5e-324 Hz over two devices is a share of 0: the rate is never positive
+    net = NetworkConfig(total_bandwidth=5e-324)
+    drained, deaf, ok = _profile(0, 0.0, 5.0, 16), _profile(1, 0.9, -20.0, 16), _profile(2, 0.9, 5.0, 16)
+    for filt in (filter_eligible, _scalar_filter):
+        assert filt([drained, deaf], ConstraintConfig(), net, 1) == []
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            filt([drained, ok], ConstraintConfig(), net, 1)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            filt([ok, _profile(3, 0.9, -4000.0, 16)], ConstraintConfig(), net, 1)
+
+
+def test_filter_rejects_zero_epochs_only_once_a_device_is_reachable():
+    unreachable, ok = _profile(0, 0.9, -4000.0, 16), _profile(1, 0.9, 5.0, 16)
+    for filt in (filter_eligible, _scalar_filter):
+        assert filt([unreachable], LAX, NET, 0) == []
+        with pytest.raises(ValueError, match="epochs >= 1"):
+            filt([unreachable, ok], LAX, NET, 0)
 
 
 # ------------------------------------------------------------- pre-training
