@@ -123,16 +123,27 @@ def _largest_remainder(proportions: np.ndarray, totals: np.ndarray) -> np.ndarra
 def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     """Split a classification pool into per-device datasets.
 
-    Draw order is fixed (sizes, then every device's class proportions in one
-    Dirichlet draw, then sample picks), so results are a pure function of
-    (pool, spec, seed).
-    Devices receive disjoint pool rows; when a class runs dry, the shortfall
-    spills into the classes with the most stock remaining.  Redundancy then
-    replaces a ``redundancy_factor`` share of each device's rows with copies
-    of its own remaining rows.
+    The draws come in a fixed order, so results are a pure function of
+    (pool, spec, seed): the sizes, then every device's class proportions in
+    one Dirichlet draw, then one permutation per class, and then, for each
+    device in id order, a ``shuffle`` of its rows, and when it has
+    duplicates ``integers(0, kept, size=n_dup)`` and a second ``shuffle``.
+    Each permuted class is a stack; a device takes its quota of a class
+    from the top of that stack, classes in order.  Devices receive disjoint
+    pool rows; when a class runs dry, the shortfall spills one row at a time
+    from the first stack with the most rows left.  Redundancy then replaces
+    a ``redundancy_factor`` share of each device's rows with copies of its
+    own remaining rows.  A pool without rows raises
+    ``InsufficientPoolError``, like one too small for the sizes.
+
+    Every device's rows are a slice of one index array, which gathers the
+    stacks' runs at once; each device shuffles its slice in place, and the
+    features and labels are gathered once.
     """
     if pool.task_kind != "classification":
         raise ValidationError("unknown_task_kind", "partition expects a classification pool")
+    if pool.n_samples == 0:
+        raise InsufficientPoolError(f"pool of 0 cannot cover {spec.n_devices} devices at min_size {spec.min_size}")
     rng = np.random.default_rng(seed)
     n_classes = int(pool.labels.max()) + 1
     sizes = _target_sizes(spec, pool.n_samples, rng)
@@ -144,26 +155,42 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
         proportions = rng.dirichlet(np.full(n_classes, spec.alpha), size=spec.n_devices)
     quotas = _largest_remainder(proportions, sizes)
 
-    stacks = [list(rng.permutation(np.flatnonzero(pool.labels == c))) for c in range(n_classes)]
+    stacks = [rng.permutation(np.flatnonzero(pool.labels == c)) for c in range(n_classes)]
 
-    datasets = []
-    for dev in range(spec.n_devices):
-        size = int(sizes[dev])
-        picked = [stacks[c].pop() for c in range(n_classes) for _ in range(min(int(quotas[dev, c]), len(stacks[c])))]
-        while len(picked) < size:
-            picked.append(max(stacks, key=len).pop())
-        rows = np.array(picked, dtype=np.int64)
-        rng.shuffle(rows)
+    # a device's picks are runs of the stacks, each read downward from its top
+    left = [stack.size for stack in stacks]
+    offsets = np.cumsum([0] + left[:-1]).tolist()
+    bottoms, lengths = [], []
+    for size, row in zip(sizes.tolist(), quotas.tolist()):
+        for c, quota in enumerate(row):
+            take = quota if quota < left[c] else left[c]
+            if take:
+                left[c] -= take
+                bottoms.append(offsets[c] + left[c])
+                lengths.append(take)
+                size -= take
+        for _ in range(size):
+            c = left.index(max(left))
+            left[c] -= 1
+            bottoms.append(offsets[c] + left[c])
+            lengths.append(1)
+    run_ends = np.cumsum(lengths)
+    order = np.repeat(np.array(bottoms) + run_ends - 1, lengths) - np.arange(run_ends[-1])
+    rows = np.concatenate(stacks)[order]
 
-        n_dup = int(math.floor(spec.redundancy_factor * size))
+    ends = np.cumsum(sizes)
+    spans = [slice(end - size, end) for size, end in zip(sizes.tolist(), ends.tolist())]
+    for span in spans:
+        run = rows[span]
+        rng.shuffle(run)
+        n_dup = int(math.floor(spec.redundancy_factor * run.size))
         if n_dup > 0:
-            kept = rows[: size - n_dup]
-            copies = kept[rng.integers(0, kept.size, size=n_dup)]
-            rows = np.concatenate([kept, copies])
-            rng.shuffle(rows)
+            kept = run.size - n_dup
+            run[kept:] = run[rng.integers(0, kept, size=n_dup)]
+            rng.shuffle(run)
 
-        datasets.append(LocalDataset("classification", pool.features[rows], pool.labels[rows]))
-    return datasets
+    features, labels = pool.features[rows], pool.labels[rows]
+    return [LocalDataset("classification", features[span], labels[span]) for span in spans]
 
 
 @dataclass(frozen=True)

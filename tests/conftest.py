@@ -5,6 +5,8 @@ import pytest
 
 from feelsim.domain import ChannelState, DeviceProfile, LocalDataset
 
+pytest_plugins = ["pytester"]
+
 
 def make_device(
     device_id: int = 0,

@@ -2,9 +2,12 @@
 
 Everything here is written as directly as possible from the defining
 formulas: explicit Python loops, ``math`` scalar ops, no shared code with the
-package under test.  Slow on purpose.  The one exception is
-``reference_local_train``: the straightforward numpy SGD loop that the fast
-path in ``feelsim.learning`` must match bit for bit.
+package under test.  Slow on purpose.  There are two exceptions:
+``reference_local_train``, the straightforward numpy SGD loop that the fast
+path in ``feelsim.learning`` must match bit for bit, and
+``reference_partition``, the per-device loop that ``feelsim.datagen.partition``
+must match bit for bit; it takes its sizes and quotas from the package,
+since only the bookkeeping after them is under test.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from feelsim.datagen import _largest_remainder, _target_sizes
 
 
 def shannon_entropy(counts) -> float:
@@ -201,3 +206,40 @@ def largest_remainder(proportions, total: int) -> list:
     for c in order[:short]:
         base[c] += 1
     return base
+
+
+def reference_partition(pool, spec, seed: int) -> list:
+    """``(features, labels)`` per device: each device pops its quotas off the
+    class stacks one row at a time, spills from the first longest stack, and
+    takes its duplicates from a concatenated copy."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(pool.labels.max()) + 1
+    sizes = _target_sizes(spec, pool.n_samples, rng)
+
+    if spec.skew == "iid":
+        pool_counts = pool.class_counts(n_classes).astype(float)
+        proportions = np.tile(pool_counts / pool_counts.sum(), (spec.n_devices, 1))
+    else:
+        proportions = rng.dirichlet(np.full(n_classes, spec.alpha), size=spec.n_devices)
+    quotas = _largest_remainder(proportions, sizes)
+
+    stacks = [list(rng.permutation(np.flatnonzero(pool.labels == c))) for c in range(n_classes)]
+
+    datasets = []
+    for dev in range(spec.n_devices):
+        size = int(sizes[dev])
+        picked = [stacks[c].pop() for c in range(n_classes) for _ in range(min(int(quotas[dev, c]), len(stacks[c])))]
+        while len(picked) < size:
+            picked.append(max(stacks, key=len).pop())
+        rows = np.array(picked, dtype=np.int64)
+        rng.shuffle(rows)
+
+        n_dup = int(math.floor(spec.redundancy_factor * size))
+        if n_dup > 0:
+            kept = rows[: size - n_dup]
+            copies = kept[rng.integers(0, kept.size, size=n_dup)]
+            rows = np.concatenate([kept, copies])
+            rng.shuffle(rows)
+
+        datasets.append((pool.features[rows], pool.labels[rows]))
+    return datasets

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feelsim.cli import _print_comparison, main, run_experiment
+from feelsim.cli import SUMMARY_HEADER, _print_comparison, main, run_experiment
 from feelsim.config_io import ExperimentSpec, load_config
 from feelsim.diversity import approximate_entropy, sample_entropy
 from feelsim.engine import SimulationConfig, build_state
@@ -387,6 +388,17 @@ def test_main_run_end_to_end(tmp_path):
     code = main(["run", cfg, "--out", str(tmp_path / "cli_out"), "--seeds", "3", "--scheduler", "age_fair"])
     assert code == 0
     assert (tmp_path / "cli_out" / "tiny" / "age_fair" / "seed_3" / "rounds.csv").exists()
+
+
+def test_main_run_logs_each_run_whose_training_pool_is_empty_and_goes_on(tmp_path, caplog):
+    # two pool rows, 0.9 of them held out: round(1.8) = 2 test rows and no training rows
+    text = "[data]\nn_classes = 2\nsamples_per_class = 1\ntest_fraction = 0.9\n"
+    text += "[experiment]\nname = empty\nseeds = 0\nschedulers = diversity_pre, random\n"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    failure = "failed: insufficient_pool: pool of 0 cannot cover 20 devices at min_size 1"
+    assert [r.getMessage() for r in caplog.records] == [f"run {s}/seed 0 {failure}" for s in ("diversity_pre", "random")]
+    assert (tmp_path / "out" / "empty" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

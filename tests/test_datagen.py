@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from feelsim import seeding
 from feelsim.datagen import (
+    SIZE_DISTS,
+    SKEW_KINDS,
     FleetSpec,
     PartitionSpec,
     _largest_remainder,
@@ -168,6 +170,51 @@ def test_insufficient_pool_raises(size_dist):
     pool = _uniform_pool(n=8, n_classes=2)
     with pytest.raises(InsufficientPoolError, match="pool of 8 cannot cover 3 devices at min_size 4"):
         partition(pool, PartitionSpec(n_devices=3, min_size=4, size_dist=size_dist), seed=0)
+
+
+@pytest.mark.parametrize("size_dist", SIZE_DISTS)
+def test_empty_pool_raises_insufficient_pool(size_dist):
+    # a test split that holds out every row leaves no training pool
+    pool = LocalDataset("classification", np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(InsufficientPoolError, match="pool of 0 cannot cover 3 devices at min_size 1"):
+        partition(pool, PartitionSpec(n_devices=3, size_dist=size_dist), seed=0)
+
+
+@st.composite
+def _partition_cases(draw):
+    labels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=48))
+    spec = PartitionSpec(
+        n_devices=draw(st.integers(1, min(8, len(labels)))),
+        skew=draw(st.sampled_from(SKEW_KINDS)),
+        alpha=draw(st.sampled_from([0.01, 0.3, 5.0])),
+        size_dist=draw(st.sampled_from(SIZE_DISTS)),
+        redundancy_factor=draw(st.sampled_from([0.0, 0.25, 0.6])),
+    )
+    return labels, spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partition_cases())
+# alpha 0.01 gives each device nearly one class, so classes run dry and picks spill
+@example(([0, 1, 2] * 10, PartitionSpec(n_devices=8, skew="dirichlet", alpha=0.01, redundancy_factor=0.25), 3))
+# class 1 has no rows, but the Dirichlet draw still gives it quotas
+@example(([0, 2, 2, 0, 2, 0, 2, 2], PartitionSpec(n_devices=3, skew="dirichlet", alpha=0.3), 1))
+@example(([1, 0, 1, 1, 0], PartitionSpec(n_devices=1, size_dist="lognormal", redundancy_factor=0.6), 0))
+def test_partition_matches_the_per_device_reference(case):
+    labels, spec, seed = case
+    features = np.random.default_rng(seed).standard_normal((len(labels), 3))
+    pool = LocalDataset("classification", features, labels)
+    try:
+        expected = oracles.reference_partition(pool, spec, seed)
+    except InsufficientPoolError:
+        with pytest.raises(InsufficientPoolError):
+            partition(pool, spec, seed)
+        return
+    got = partition(pool, spec, seed)
+    assert len(got) == len(expected)
+    for dataset, (feats, labs) in zip(got, expected):
+        assert dataset.features.tobytes() == feats.tobytes()
+        assert dataset.labels.tobytes() == labs.tobytes()
 
 
 def test_partition_spec_validation():
