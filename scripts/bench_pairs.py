@@ -14,10 +14,10 @@ subprocess and imports nothing from ``perfbench/``.
 The output has ``summary`` first, one entry per workload and seed: the
 digests and failed units of each side, and per end-to-end metric the
 parent's and the change's quartiles (numpy's linear percentiles over the
-pairs), the change's median over the parent's, and the pairs the change
-won.  ``runs`` follows, one entry per process in the order they ran, with
-its final JSON line under ``result``, parsed (``json`` reads and writes
-Python floats exactly).  ``--digest-seeds`` adds one ``--seconds 1`` pair
+pairs) and their smallest and largest runs, the change's median over the
+parent's, and the pairs the change won.  ``runs`` follows, one entry per
+process in the order they ran, with its final JSON line under ``result``,
+parsed (``json`` reads and writes Python floats exactly).  ``--digest-seeds`` adds one ``--seconds 1`` pair
 per workload at each such seed that records digests only.
 """
 
@@ -67,7 +67,7 @@ def _quartiles(values: list) -> list:
 
 
 def _summary(runs: list, metrics: dict, note: str = "") -> dict:
-    """One workload and seed: digests, failures and, unless ``note`` is set, metric quartiles and wins."""
+    """One workload and seed: digests, failures and, unless ``note`` is set, metric quartiles, extremes and wins."""
     side = {name: [r for r in runs if r["side"] == name] for name in ("parent", "change")}
     entry = {
         "workload": runs[0]["workload"],
@@ -90,8 +90,10 @@ def _summary(runs: list, metrics: dict, note: str = "") -> dict:
         entry["metrics"][name] = {
             "better": spec["better"],
             "change_over_parent_median": round(float(np.median(change) / np.median(parent)), 4),
+            "change_min_max": [min(change), max(change)],
             "change_q1_median_q3": _quartiles(change),
             "change_wins": f"{wins}/{len(change)}",
+            "parent_min_max": [min(parent), max(parent)],
             "parent_q1_median_q3": _quartiles(parent),
             "unit": spec["unit"],
         }

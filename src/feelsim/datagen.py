@@ -78,8 +78,8 @@ def make_classification_pool(
     features = np.repeat(centers, samples_per_class, axis=0) + rng.standard_normal(
         (n_classes * samples_per_class, dim)
     )
-    labels = np.repeat(np.arange(n_classes), samples_per_class)
-    return LocalDataset("classification", features, labels)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), samples_per_class)
+    return LocalDataset._trusted(features, labels)
 
 
 def _target_sizes(spec: PartitionSpec, pool_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,7 +138,10 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
 
     Every device's rows are a slice of one index array, which gathers the
     stacks' runs at once; each device shuffles its slice in place, and the
-    features and labels are gathered once.
+    features and labels are gathered once, into two arrays that are then
+    made read-only.  Each device's dataset is a view of its row range of
+    them, neither copied nor checked again: its labels are the pool's, which
+    the pool's own construction checked.
     """
     if pool.task_kind != "classification":
         raise ValidationError("unknown_task_kind", "partition expects a classification pool")
@@ -190,7 +193,9 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
             rng.shuffle(run)
 
     features, labels = pool.features[rows], pool.labels[rows]
-    return [LocalDataset("classification", features[span], labels[span]) for span in spans]
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return [LocalDataset._trusted(features[span], labels[span]) for span in spans]
 
 
 @dataclass(frozen=True)

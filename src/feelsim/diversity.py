@@ -449,8 +449,14 @@ def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: 
 
 
 def outlier_ceiling(values: Sequence[float], percentile: float) -> float:
-    """Ceiling below which reported indices are kept as-is: a percentile."""
+    """Ceiling below which reported indices are kept as-is: a percentile of the finite ones.
+
+    A NaN or infinite index takes no part in it, so one diverging model
+    cannot lift the ceiling off the others.  With no finite index the
+    ceiling is NaN, and ``min(v, nan)`` keeps every index as it is.
+    """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot take a percentile of no values")
-    return float(np.percentile(arr, percentile))
+    finite = arr[np.isfinite(arr)]
+    return float(np.percentile(finite, percentile)) if finite.size else math.nan

@@ -1,8 +1,11 @@
 """Core value types shared by every other module.
 
-Every type but DeviceProfile is frozen; arrays are copied on construction and
-marked read-only, so instances are shared across rounds without copying.  The
-engine updates a DeviceProfile's ``battery_level``, ``channel``,
+Every type but DeviceProfile is frozen, and every array it holds is
+read-only, so instances are shared across rounds without copying.  The public
+constructors copy the arrays they are given.  The datasets that ``datagen``
+and ``engine.build_state`` make from arrays they have just gathered take them
+as they are: a fleet's datasets are views of row ranges of one read-only
+array.  The engine updates a DeviceProfile's ``battery_level``, ``channel``,
 ``participation_count`` and ``last_participation_round`` in place.  Each fact
 is stored once: a dataset's sample count is read off its features, a round
 record is aborted exactly when it has no participants, and its duration and
@@ -48,7 +51,13 @@ def require_finite(config, *unbounded: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class LocalDataset:
-    """A device-local dataset: feature rows plus labels for classification."""
+    """A device-local dataset: feature rows plus labels for classification.
+
+    ``LocalDataset(...)`` copies ``features`` and ``labels`` into read-only
+    arrays and checks them.  ``LocalDataset._trusted`` is the one internal
+    path that neither copies nor checks: the generated pool, the train/test
+    split and every partitioned device's rows take it.
+    """
 
     task_kind: str
     features: np.ndarray
@@ -75,6 +84,22 @@ class LocalDataset:
             object.__setattr__(self, "labels", labels)
         elif self.labels is not None:
             raise ValidationError("unexpected_labels", self.task_kind)
+
+    @classmethod
+    def _trusted(cls, features: np.ndarray, labels: np.ndarray) -> LocalDataset:
+        """A classification dataset over arrays the caller owns, marked read-only, neither copied nor checked.
+
+        ``features`` must be a float64 matrix and ``labels`` an int64 vector
+        of as many rows, gathered from a dataset that has been checked (or
+        made so by construction): no other reference may write to them.
+        """
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        dataset = object.__new__(cls)
+        # the fields __post_init__ would set, written past the frozen __setattr__ at once
+        dataset.__dict__.update(task_kind="classification", features=features, labels=labels)
+        dataset.__dict__["n_samples"] = features.shape[0]
+        return dataset
 
     def class_counts(self, n_classes: int) -> np.ndarray:
         """Histogram of labels over ``n_classes`` bins (classification only)."""

@@ -184,8 +184,8 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
     perm = seeding.substream(cfg.master_seed, seeding.SPLIT).permutation(pool.n_samples)
     n_test = int(round(data.test_fraction * pool.n_samples))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    test_set = LocalDataset("classification", pool.features[test_idx], pool.labels[test_idx])
-    train_pool = LocalDataset("classification", pool.features[train_idx], pool.labels[train_idx])
+    test_set = LocalDataset._trusted(pool.features[test_idx], pool.labels[test_idx])
+    train_pool = LocalDataset._trusted(pool.features[train_idx], pool.labels[train_idx])
 
     spec = replace(data.partition, n_devices=cfg.fleet.n_devices)
     parts = partition(train_pool, spec, seeding.derive_seed(cfg.master_seed, seeding.PARTITION))

@@ -17,6 +17,9 @@ are built from a fixed list of axes, not drawn at test time:
 * a learning rate at which every device's SGD diverges to NaN weights, under
   ``fedavg``; under ``loss_weighted`` the same run raises
   ``DegenerateWeightsError`` in its first aggregation
+* in pre mode and in post mode, a ``redundancy_factor`` that makes duplicates
+  of a device's own rows, dataset indices by ``gini_simpson``, and model
+  indices capped at the 50th percentile, where the default caps at the 95th
 
 Each digest is ``test_golden.run_digest`` of the whole run.  As there, a
 digest changes only when the simulated numbers change, and a change that
@@ -34,6 +37,7 @@ from test_golden import run_digest
 from feelsim import (
     ConstraintConfig,
     DataConfig,
+    DiversityConfig,
     FleetSpec,
     NetworkConfig,
     PartitionSpec,
@@ -83,6 +87,14 @@ def _deadline() -> SimulationConfig:
     return replace(_fleet(40, rounds=5, seed=16), constraints=deadline)
 
 
+def _redundant(policy: str, seed: int) -> SimulationConfig:
+    """About 40% of every device's rows are copies of its own; Gini-Simpson indices, capped at the median."""
+    cfg = _fleet(40, policy=policy, rounds=3, seed=seed)
+    diversity = DiversityConfig(classification_measure="gini_simpson", outlier_percentile=50.0)
+    data = replace(cfg.data, partition=replace(cfg.data.partition, redundancy_factor=0.4), diversity=diversity)
+    return replace(cfg, data=data)
+
+
 CORPUS = {
     "post_255": lambda: _fleet(255, seed=1),
     "post_256": lambda: _fleet(256, seed=2),
@@ -107,6 +119,8 @@ CORPUS = {
     "post_battery_abort": _drained,
     "post_deadline_abort": _deadline,
     "post_batch_equal_n": lambda: _fleet(30, rounds=3, seed=17, sigma=0.0, batch_size=4),  # every device has 4 rows
+    "pre_redundant_gini_simpson": lambda: _redundant("diversity_pre", seed=18),
+    "post_redundant_percentile_50": lambda: _redundant("diversity_post", seed=19),
 }
 
 DIGESTS = {
@@ -126,6 +140,8 @@ DIGESTS = {
     "post_battery_abort": "39d31aed7b2d63b587e62115b30c064964390db7409ef8fcafe0f6487a5a4de9",
     "post_deadline_abort": "7a5ae7e3f18c2b50e3cecf22629254d9c52c77dd1d466396f2441f816d46d26c",
     "post_batch_equal_n": "5278a296e9dbf8405007f8e3da838c49793171aa27d00d31413f72af2a6d3487",
+    "pre_redundant_gini_simpson": "cef0f2c5b4d6d736e30663da134d018d2119a437f385eabcfdff011758e0d97c",
+    "post_redundant_percentile_50": "8d47aeba8f791acdf4b6e1848c409c62e8bef4b1b38912d6f287f85755c5dd9e",
 }
 
 

@@ -31,6 +31,14 @@ def test_pool_shapes_and_histogram():
     assert list(np.bincount(pool.labels)) == [40, 40, 40]
 
 
+def test_pool_arrays_are_read_only():
+    pool = make_classification_pool(n_classes=3, dim=5, samples_per_class=4, class_sep=2.0, seed=0)
+    assert (pool.features.dtype, pool.labels.dtype) == (np.float64, np.int64)
+    for arr in (pool.features, pool.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_pool_centers_respect_separation():
     pool = make_classification_pool(4, 6, 200, class_sep=5.0, seed=3)
     centers = np.array([pool.features[pool.labels == c].mean(axis=0) for c in range(4)])
@@ -180,6 +188,20 @@ def test_empty_pool_raises_insufficient_pool(size_dist):
         partition(pool, PartitionSpec(n_devices=3, size_dist=size_dist), seed=0)
 
 
+def test_partition_datasets_are_read_only_views_of_one_array():
+    pool = make_classification_pool(n_classes=3, dim=4, samples_per_class=20, class_sep=2.0, seed=0)
+    parts = partition(pool, PartitionSpec(n_devices=5, size_dist="lognormal", redundancy_factor=0.3), seed=1)
+    features, labels = parts[0].features.base, parts[0].labels.base
+    assert all(p.features.base is features and p.labels.base is labels for p in parts)
+    assert not features.flags.writeable and not labels.flags.writeable
+    # each device's rows are its own range of the one array, in device order
+    assert np.concatenate([p.features for p in parts]).tobytes() == features.tobytes()
+    assert np.concatenate([p.labels for p in parts]).tobytes() == labels.tobytes()
+    for arr in (parts[2].features, parts[2].labels, features):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+
+
 @st.composite
 def _partition_cases(draw):
     labels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=48))
@@ -215,6 +237,8 @@ def test_partition_matches_the_per_device_reference(case):
     for dataset, (feats, labs) in zip(got, expected):
         assert dataset.features.tobytes() == feats.tobytes()
         assert dataset.labels.tobytes() == labs.tobytes()
+        assert (dataset.features.dtype, dataset.labels.dtype) == (np.float64, np.int64)
+        assert dataset.features.shape == (dataset.n_samples, 3)
 
 
 def test_partition_spec_validation():

@@ -652,6 +652,21 @@ def test_outlier_ceiling_is_percentile():
     assert outlier_ceiling(values, 95.0) == pytest.approx(np.percentile(values, 95))
 
 
+def test_outlier_ceiling_skips_non_finite_indices_and_caps_the_finite_outlier():
+    raw = [0.3, 0.5, math.nan, 2.0, 0.4]
+    ceiling = outlier_ceiling(raw, 95.0)
+    assert ceiling == pytest.approx(1.775)  # 0.5 + 0.85 * (2.0 - 0.5), over the four finite indices
+    assert outlier_ceiling([0.3, 0.5, math.inf, 2.0, 0.4], 95.0) == ceiling
+    capped = [min(v, ceiling) for v in raw]
+    assert capped[3] == ceiling and capped[:2] == [0.3, 0.5] and math.isnan(capped[2])
+
+
+def test_outlier_ceiling_of_no_finite_index_is_nan_and_caps_nothing():
+    ceiling = outlier_ceiling([math.nan, math.inf, math.nan], 95.0)
+    assert math.isnan(ceiling)
+    assert min(0.7, ceiling) == 0.7
+
+
 def test_measures_are_bit_reproducible():
     rng = np.random.default_rng(42)
     x = rng.normal(size=80)

@@ -116,6 +116,30 @@ def test_local_dataset_rejects_label_mismatch():
     assert err.value.code == "label_length_mismatch"
 
 
+@pytest.mark.parametrize(
+    "features, labels, code",
+    [
+        (np.zeros((3, 2)), np.array([0, -1, 1]), "negative_label"),
+        (np.zeros(3), np.array([0, 1, 1]), "features_not_matrix"),
+    ],
+)
+def test_local_dataset_checks_what_it_is_given(features, labels, code):
+    # label_length_mismatch: test_local_dataset_rejects_label_mismatch
+    with pytest.raises(ValidationError) as err:
+        LocalDataset("classification", features, labels)
+    assert err.value.code == code
+
+
+def test_local_dataset_copies_what_it_is_given():
+    features, labels = np.zeros((3, 2)), np.array([0, 1, 1])
+    ds = LocalDataset("classification", features, labels)
+    features[0, 0], labels[0] = 5.0, 2
+    assert ds.features[0, 0] == 0.0 and ds.labels[0] == 0
+    for arr in (ds.features, ds.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_local_dataset_requires_labels_only_for_classification():
     with pytest.raises(ValidationError):
         LocalDataset("classification", np.zeros((4, 2)))

@@ -84,6 +84,18 @@ def test_build_state_deterministic():
         assert a.dataset_profiles[did].diversity_index == b.dataset_profiles[did].diversity_index
 
 
+def test_build_state_datasets_are_read_only():
+    # the split and the partition take their fresh gathers without a copy, so nothing may write to them
+    state = build_state(small_config())
+    datasets = [state.test_set, state.train_pool, *(d.dataset for d in state.devices.values())]
+    for ds in datasets:
+        assert (ds.features.dtype, ds.labels.dtype) == (np.float64, np.int64)
+        assert ds.features.shape == (ds.n_samples, 4) and ds.labels.shape == (ds.n_samples,)
+        for arr in (ds.features, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+
+
 def test_states_share_no_device_profile():
     # profiles evolve in place, so each state must own its fleet
     a = build_state(small_config())
