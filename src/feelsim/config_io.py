@@ -162,7 +162,7 @@ def _read_values(path: str) -> dict:
     """
     values: dict = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith(("#", ";")):

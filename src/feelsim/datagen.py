@@ -10,6 +10,7 @@ own rows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -83,25 +84,31 @@ def make_classification_pool(
 
 
 def _target_sizes(spec: PartitionSpec, pool_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Device sizes of at least ``min_size`` each and at most ``pool_size`` in all.
+
+    A pool covers the devices exactly when ``n_devices * min_size <= pool_size``.
+    A draw (whole floats up to 2**63, exact below 2**53) that sums past the
+    pool is scaled into it, floored and raised to ``min_size``; the surplus
+    comes off the largest sizes a row at a time, lower ids first among equals.
+    """
+    n, min_size = spec.n_devices, spec.min_size
+    if n * min_size > pool_size:
+        raise InsufficientPoolError(f"pool of {pool_size} cannot cover {n} devices at min_size {min_size}")
     if spec.size_dist == "balanced":
-        sizes = np.full(spec.n_devices, pool_size // spec.n_devices, dtype=np.int64)
-    elif spec.size_dist == "lognormal":
-        mean_share = pool_size / spec.n_devices
-        raw = rng.lognormal(math.log(mean_share), spec.size_sigma, spec.n_devices)
-        sizes = np.rint(raw).astype(np.int64)
+        return np.full(n, pool_size // n, dtype=np.int64)
+    if spec.size_dist == "lognormal":
+        raw = rng.lognormal(math.log(pool_size / n), spec.size_sigma, n)
     else:  # powerlaw
-        raw = spec.min_size * (1.0 + rng.pareto(spec.power_exponent, spec.n_devices))
-        sizes = np.rint(raw).astype(np.int64)
-    sizes = np.maximum(sizes, spec.min_size)
+        raw = min_size * (1.0 + rng.pareto(spec.power_exponent, n))
+    sizes = np.clip(np.rint(raw), min_size, 2.0**63)
     if sizes.sum() > pool_size:
-        # scale the draw down into the pool, preserving its shape
-        scaled = np.floor(sizes * (pool_size / sizes.sum())).astype(np.int64)
-        sizes = np.maximum(scaled, spec.min_size)
-        if sizes.sum() > pool_size:
-            raise InsufficientPoolError(
-                f"pool of {pool_size} cannot cover {spec.n_devices} devices at min_size {spec.min_size}"
-            )
-    return sizes
+        sizes = np.maximum(np.floor(sizes * (pool_size / sizes.sum())), min_size)
+    if sizes.sum() > pool_size:  # cap at the lowest level that keeps pool_size rows; the rest off the lowest ids at it
+        caps = range(min_size, int(sizes.max()) + 1)
+        cap = caps[bisect.bisect_left(caps, True, key=lambda c: np.minimum(sizes, c).sum() >= pool_size)]
+        sizes = np.minimum(sizes, cap)
+        sizes[np.flatnonzero(sizes == cap)[: int(sizes.sum()) - pool_size]] -= 1
+    return sizes.astype(np.int64)
 
 
 def _largest_remainder(proportions: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -128,13 +135,12 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     one Dirichlet draw, then one permutation per class, and then, for each
     device in id order, a ``shuffle`` of its rows, and when it has
     duplicates ``integers(0, kept, size=n_dup)`` and a second ``shuffle``.
-    Each permuted class is a stack; a device takes its quota of a class
-    from the top of that stack, classes in order.  Devices receive disjoint
-    pool rows; when a class runs dry, the shortfall spills one row at a time
-    from the first stack with the most rows left.  Redundancy then replaces
-    a ``redundancy_factor`` share of each device's rows with copies of its
-    own remaining rows.  A pool without rows raises
-    ``InsufficientPoolError``, like one too small for the sizes.
+    Each permuted class is a stack; a device takes its quota of a class from
+    the top of that stack, classes in order.  Devices receive disjoint pool
+    rows; when a class runs dry, the shortfall spills one row at a time from
+    the first stack with the most rows left.  Redundancy then replaces a
+    ``redundancy_factor`` share of each device's rows with copies of its own
+    remaining rows.  ``_target_sizes`` refuses a pool that is too small.
 
     Every device's rows are a slice of one index array, which gathers the
     stacks' runs at once; each device shuffles its slice in place, and the
@@ -145,11 +151,9 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     """
     if pool.task_kind != "classification":
         raise ValidationError("unknown_task_kind", "partition expects a classification pool")
-    if pool.n_samples == 0:
-        raise InsufficientPoolError(f"pool of 0 cannot cover {spec.n_devices} devices at min_size {spec.min_size}")
     rng = np.random.default_rng(seed)
-    n_classes = int(pool.labels.max()) + 1
     sizes = _target_sizes(spec, pool.n_samples, rng)
+    n_classes = int(pool.labels.max()) + 1
 
     if spec.skew == "iid":
         pool_counts = pool.class_counts(n_classes).astype(float)

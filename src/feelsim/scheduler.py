@@ -2,14 +2,14 @@
 
 Eligibility applies the hard constraints every policy shares: battery floor,
 SNR floor, a completion-time budget under a conservative equal-share
-bandwidth estimate, and a minimum local data size (a device with fewer
-samples than one mini-batch cannot contribute a meaningful update).
+bandwidth estimate, and a minimum local data size.
 
 Every policy picks k of ``filter_eligible``'s output and checks no deadline
 of its own: a device that finishes in time at the filter's share
 total_bandwidth / N also does at a selection's larger share
 total_bandwidth / k; the engine records each participant's actual time.
-Policies:
+The ranked policies order by one rule, ``_best_first``: descending score,
+then ascending tie keys, then lower id, a NaN score last.  Policies:
 
 * ``schedule_pre_training``   - score eligible devices on reported data
   diversity, battery, and channel quality before any training happens.
@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .domain import DeviceProfile, ScheduleDecision, require_finite, require_simplex
+from .domain import ScheduleDecision, require_finite, require_simplex
 from .errors import DegenerateWeightsError, ValidationError
 from .network import (
     NetworkConfig,
@@ -124,9 +124,8 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _best_first(devices: list, score: np.ndarray) -> list:
-    """``devices`` by descending score, equal scores toward the lower id."""
-    return [devices[i] for i in np.lexsort(([d.id for d in devices], -score))]
+def _best_first(devices: list, score: np.ndarray, *ties) -> list:
+    return [devices[i] for i in np.lexsort(([d.id for d in devices], *reversed(ties), -score))]
 
 
 def _top_k(
@@ -160,8 +159,7 @@ def schedule_pre_training(
     ``diversity`` maps device id to the scalar index each device reported.
     Diversity and SNR are min-max normalized over the eligible set (a
     constant field normalizes to 0.5 so its weight shifts every score
-    equally); battery is already a fraction and enters as-is.  Ties break
-    toward the lower device id.
+    equally); battery is already a fraction and enters as-is.
     """
 
     def rank() -> list:
@@ -185,7 +183,7 @@ def schedule_post_training(
     """Top-K eligible devices by reported model-diversity index (already clamped)."""
 
     def rank() -> list:
-        return sorted(eligible, key=lambda d: (-float(indices[d.id]), d.id))
+        return _best_first(eligible, np.array([float(indices[d.id]) for d in eligible]))
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 
@@ -256,17 +254,14 @@ def schedule_age_fair(
 ) -> ScheduleDecision:
     """Pick the eligible devices that have gone longest without contributing.
 
-    A device that never participated has infinite age and wins outright;
-    ties break toward fewer total participations, then the lower id.
+    A device that never participated has infinite age; equal ages go to
+    fewer total participations.
     """
 
-    def age(dev: DeviceProfile) -> float:
-        if dev.last_participation_round is None:
-            return math.inf
-        return float(current_round - dev.last_participation_round)
-
     def rank() -> list:
-        return sorted(eligible, key=lambda d: (-age(d), d.participation_count, d.id))
+        last = [d.last_participation_round for d in eligible]
+        ages = np.array([math.inf if r is None else current_round - r for r in last], dtype=float)
+        return _best_first(eligible, ages, [d.participation_count for d in eligible])
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 

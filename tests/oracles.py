@@ -2,12 +2,14 @@
 
 Everything here is written as directly as possible from the defining
 formulas: explicit Python loops, ``math`` scalar ops, no shared code with the
-package under test.  Slow on purpose.  There are two exceptions:
+package under test.  Slow on purpose.  There are three exceptions:
 ``reference_local_train``, the straightforward numpy SGD loop that the fast
-path in ``feelsim.learning`` must match bit for bit, and
+path in ``feelsim.learning`` must match bit for bit;
 ``reference_partition``, the per-device loop that ``feelsim.datagen.partition``
-must match bit for bit; it takes its sizes and quotas from the package,
-since only the bookkeeping after them is under test.
+must match bit for bit, which takes its sizes and quotas from the package,
+since only the bookkeeping after them is under test; and
+``reference_target_sizes``, the integer size rule whose sizes
+``feelsim.datagen._target_sizes`` must match wherever they fit the pool.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from feelsim.datagen import _largest_remainder, _target_sizes
+from feelsim.errors import InsufficientPoolError
 
 
 def shannon_entropy(counts) -> float:
@@ -206,6 +209,44 @@ def largest_remainder(proportions, total: int) -> list:
     for c in order[:short]:
         base[c] += 1
     return base
+
+
+def reference_target_sizes(spec, pool_size: int, rng) -> np.ndarray:
+    """Sizes in int64: the draw is cast, floored at ``min_size`` and, when it
+    sums past the pool, scaled into it and floored again; a floor that still
+    overshoots raises.  A draw past the int64 range wraps in the cast (with a
+    ``RuntimeWarning``), and a sum past it wraps silently."""
+    if spec.size_dist == "balanced":
+        sizes = np.full(spec.n_devices, pool_size // spec.n_devices, dtype=np.int64)
+    elif spec.size_dist == "lognormal":
+        mean_share = pool_size / spec.n_devices
+        raw = rng.lognormal(math.log(mean_share), spec.size_sigma, spec.n_devices)
+        sizes = np.rint(raw).astype(np.int64)
+    else:  # powerlaw
+        raw = spec.min_size * (1.0 + rng.pareto(spec.power_exponent, spec.n_devices))
+        sizes = np.rint(raw).astype(np.int64)
+    sizes = np.maximum(sizes, spec.min_size)
+    if sizes.sum() > pool_size:
+        scaled = np.floor(sizes * (pool_size / sizes.sum())).astype(np.int64)
+        sizes = np.maximum(scaled, spec.min_size)
+        if sizes.sum() > pool_size:
+            raise InsufficientPoolError(
+                f"pool of {pool_size} cannot cover {spec.n_devices} devices at min_size {spec.min_size}"
+            )
+    return sizes
+
+
+def fit_sizes(raw, min_size: int, pool_size: int) -> list:
+    """A size draw fitted to the pool: round, raise to ``min_size``, scale a
+    draw that overshoots into the pool, floor and raise again, then take one
+    row at a time off the first largest size until the sizes fit."""
+    sizes = [max(round(x), min_size) for x in raw]
+    total = sum(sizes)
+    if total > pool_size:
+        sizes = [max(math.floor(s * (pool_size / total)), min_size) for s in sizes]
+    while sum(sizes) > pool_size:
+        sizes[sizes.index(max(sizes))] -= 1
+    return sizes
 
 
 def reference_partition(pool, spec, seed: int) -> list:

@@ -93,6 +93,13 @@ def test_full_config_round_trip(tmp_path):
     assert spec.base.constraints.min_data_size == 1  # the default, whatever the batch size
 
 
+def test_config_saved_with_a_utf8_byte_order_mark_loads(tmp_path):
+    # editors on Windows often save UTF-8 with a BOM before the first section
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + SMALL_RUN.encode("utf-8"))
+    assert load_config(str(path)) == load_config(_write(tmp_path, SMALL_RUN))
+
+
 def test_missing_name_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match="name"):
         load_config(_write(tmp_path, "[experiment]\nrounds_max = 3\n"))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +18,7 @@ from feelsim.datagen import (
     FleetSpec,
     PartitionSpec,
     _largest_remainder,
+    _target_sizes,
     make_classification_pool,
     make_fleet,
     partition,
@@ -200,6 +204,86 @@ def test_partition_datasets_are_read_only_views_of_one_array():
     for arr in (parts[2].features, parts[2].labels, features):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 7
+
+
+@st.composite
+def _size_cases(draw):
+    spec = PartitionSpec(
+        n_devices=draw(st.integers(1, 60)),
+        size_dist=draw(st.sampled_from(SIZE_DISTS)),
+        size_sigma=draw(st.floats(0.0, 30.0)),
+        power_exponent=draw(st.floats(0.05, 5.0)),
+        min_size=draw(st.integers(1, 12)),
+    )
+    return spec, draw(st.integers(0, 4000)), draw(st.integers(0, 2**32 - 1))
+
+
+# 100 devices need 500 rows of a pool of 800, but the integer rule's second floor overshot
+_SIGMA_2 = (PartitionSpec(n_devices=100, size_dist="lognormal", size_sigma=2.0, min_size=5), 800, 0)
+# sigma 30 draws past the int64 range, which the integer rule's cast wrapped
+_SIGMA_30 = (PartitionSpec(n_devices=20, size_dist="lognormal", size_sigma=30.0, min_size=3), 4000, 0)
+_POWER_005 = (PartitionSpec(n_devices=40, size_dist="powerlaw", power_exponent=0.05, min_size=7), 4000, 2)
+# an exponent of 0.001 draws inf for most devices
+_POWER_INF = (PartitionSpec(n_devices=10, size_dist="powerlaw", power_exponent=0.001, min_size=2), 4000, 4)
+# an exact fit: every device gets min_size rows
+_EXACT_FIT = (PartitionSpec(n_devices=50, size_dist="powerlaw", power_exponent=0.8, min_size=4), 200, 3)
+# sizes near 2**62 whose int64 sum wrapped negative, so the integer rule returned them unscaled
+_WRAPPED_SUM = (PartitionSpec(n_devices=8, size_dist="lognormal", size_sigma=20.5, min_size=5), 1608, 688451250)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_size_cases())
+@example(_SIGMA_2)
+@example(_SIGMA_30)
+@example(_POWER_005)
+@example(_EXACT_FIT)
+@example(_WRAPPED_SUM)
+@example(_POWER_INF)
+def test_target_sizes_cover_the_devices_exactly_when_the_pool_fits(case):
+    spec, pool_size, seed = case
+    if spec.n_devices * spec.min_size > pool_size:
+        with pytest.raises(InsufficientPoolError, match=f"pool of {pool_size} cannot cover {spec.n_devices} devices"):
+            _target_sizes(spec, pool_size, np.random.default_rng(seed))
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sizes = _target_sizes(spec, pool_size, np.random.default_rng(seed))
+    assert sizes.dtype == np.int64 and sizes.shape == (spec.n_devices,)
+    assert sizes.min() >= spec.min_size
+    assert sum(sizes.tolist()) <= pool_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(_size_cases())
+@example(_SIGMA_2)
+@example(_SIGMA_30)
+@example(_POWER_005)
+@example(_EXACT_FIT)
+@example(_WRAPPED_SUM)
+def test_target_sizes_match_the_integer_rule_wherever_its_sizes_fit(case):
+    spec, pool_size, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected = oracles.reference_target_sizes(spec, pool_size, np.random.default_rng(seed))
+        except (InsufficientPoolError, RuntimeWarning, ValueError):
+            return  # it refused the pool, wrapped a draw in its cast or took log(0)
+    if sum(expected.tolist()) > pool_size:
+        return  # its int64 sum wrapped: the sizes overshoot the pool
+    got = _target_sizes(spec, pool_size, np.random.default_rng(seed))
+    assert got.dtype == np.int64
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 400.0), min_size=1, max_size=30), st.integers(1, 8), st.integers(0, 500))
+@example([300.0, 40.0, 40.0, 2.0, 1.0, 1.0], 5, 30)  # the raise to 5 adds rows past a pool of 60
+def test_target_sizes_take_the_surplus_a_row_at_a_time_off_the_largest(raw, min_size, slack):
+    n = len(raw)
+    pool_size = n * min_size + slack
+    spec = PartitionSpec(n_devices=n, size_dist="lognormal", min_size=min_size)
+    drawn = SimpleNamespace(lognormal=lambda *args: np.array(raw))
+    assert _target_sizes(spec, pool_size, drawn).tolist() == oracles.fit_sizes(raw, min_size, pool_size)
 
 
 @st.composite

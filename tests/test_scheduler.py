@@ -322,9 +322,15 @@ def test_best_first_orders_as_the_sorted_score_id_key():
     ids = rng.permutation(5000)[:2000]
     score = rng.integers(-40, 40, size=2000) / 7.0  # many exact ties
     score[rng.integers(0, 2000, size=200)] = -0.0
+    score[rng.integers(0, 2000, size=50)] = math.inf
+    score[rng.integers(0, 2000, size=50)] = -math.inf
+    tie = rng.integers(0, 3, size=2000)
     devices = [SimpleNamespace(id=int(i)) for i in ids]
     expected = sorted(range(2000), key=lambda i: (-score[i], ids[i]))
     assert [d.id for d in _best_first(devices, score)] == [int(ids[i]) for i in expected]
+    # a tie key orders equal scores before the id does
+    expected = sorted(range(2000), key=lambda i: (-score[i], tie[i], ids[i]))
+    assert [d.id for d in _best_first(devices, score, tie)] == [int(ids[i]) for i in expected]
 
 
 def test_pre_training_selection_invariant_to_index_rescaling():
@@ -386,6 +392,22 @@ def test_post_training_top_k_by_index():
     indices = {0: 0.2, 1: 0.9, 2: 0.4, 3: 0.9, 4: 0.1}
     decision = schedule_post_training(devices, indices, k=3, constraints=LAX, net=NET, epochs=1)
     assert decision.selected == (1, 3, 2)  # tie at 0.9 broken by id
+
+
+def test_post_training_ranks_a_nan_index_last():
+    # a diverged model's NaN index compares false both ways; a sort keyed on
+    # (-index, id) then ranked device 0 (0.5) above device 2 (0.9)
+    decision = schedule_post_training(_fleet(3), {0: 0.5, 1: math.nan, 2: 0.9}, k=2, constraints=LAX, net=NET, epochs=1)
+    assert decision.selected == (2, 0)
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_post_training_ranks_finite_indices_first_wherever_the_nan_sits(position):
+    finite = [0.3, 0.8, 0.1, 0.6, 0.4]
+    indices = {i: math.nan if i == position else v for i, v in enumerate(finite)}
+    decision = schedule_post_training(_fleet(5), indices, k=5, constraints=LAX, net=NET, epochs=1)
+    expected = sorted((i for i in range(5) if i != position), key=lambda i: -finite[i]) + [position]
+    assert decision.selected == tuple(expected)
 
 
 def test_post_training_empty():
@@ -488,6 +510,37 @@ def test_age_fair_rotation_converges_to_even_counts():
     counts = [state[i]["count"] for i in range(4)]
     assert max(counts) - min(counts) <= 1
     assert jain_fairness(counts) > 0.99
+
+
+def _sorted_age_fair(devices: list, current_round: int) -> list:
+    """The ranking as one ``sorted`` key: (-age, participations, id)."""
+
+    def age(dev) -> float:
+        if dev.last_participation_round is None:
+            return math.inf
+        return float(current_round - dev.last_participation_round)
+
+    return sorted(devices, key=lambda d: (-age(d), d.participation_count, d.id))
+
+
+@st.composite
+def _age_fair_histories(draw):
+    n = draw(st.integers(1, 9))
+    current_round = draw(st.integers(0, 6))
+    # few distinct rounds and counts, so equal ages and equal counts are common
+    lasts = draw(st.lists(st.none() | st.integers(0, current_round), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    devices = [make_device(device_id=i, participation_count=c, last_round=r) for i, r, c in zip(ids, lasts, counts)]
+    return devices, current_round, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_age_fair_histories())
+def test_age_fair_ranks_as_the_sorted_age_count_id_key(case):
+    devices, current_round, k = case
+    decision = schedule_age_fair(devices, k=k, current_round=current_round, constraints=LAX, net=NET, epochs=1)
+    assert decision.selected == tuple(d.id for d in _sorted_age_fair(devices, current_round)[:k])
 
 
 # ------------------------------------------------------------------ fairness
