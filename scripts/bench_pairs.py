@@ -19,6 +19,9 @@ parent's, and the pairs the change won.  ``runs`` follows, one entry per
 process in the order they ran, with its final JSON line under ``result``,
 parsed (``json`` reads and writes Python floats exactly).  ``--digest-seeds`` adds one ``--seconds 1`` pair
 per workload at each such seed that records digests only.
+
+SIGTERM and SIGINT end the script with ``SystemExit``, so the exported tree
+is removed and the running ``perfbench/run.py`` is killed on the way out.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _exit_on_signal(signum, frame):
+    # an exception, unlike the default action, unwinds through TemporaryDirectory's
+    # cleanup and through subprocess.run, which kills its child on any exception
+    raise SystemExit(128 + signum)
 
 
 def _git(*args: str) -> str:
@@ -119,6 +129,8 @@ def main(argv=None) -> int:
     digest_seeds = [int(s) for s in args.digest_seeds.split(",") if s]
     metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent_rev = _git("rev-parse", args.parent)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
 
     runs, summary, env = [], [], ""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:

@@ -412,31 +412,31 @@ def model_diversity_index(local: ModelParams, global_model: ModelParams, groupin
     round at their ``outlier_ceiling`` so single outliers cannot monopolize selection.
     This is ``model_diversity_indices`` for one model.
     """
-    return model_diversity_indices([local], global_model, grouping, cfg)[0]
+    return model_diversity_indices(local.weights[None], global_model, grouping, cfg)[0]
 
 
-def model_diversity_indices(locals_: list, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> list:
-    """``model_diversity_index`` of each local model, in one stacked pass.
+def model_diversity_indices(stack: np.ndarray, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> list:
+    """``model_diversity_index`` of each local model, the rows of ``stack``, in one pass.
 
     Each index is bit for bit the one its model gets alone.  The models are
-    the rows of one C-contiguous array, and every sum over a model's
-    parameters, groups or group pairs runs along the contiguous last axis,
-    where ``np.add.reduce`` adds each row as it adds that row alone.
+    the rows of one C-contiguous array, such as the stack ``train_many``
+    returns, and every sum over a model's parameters, groups or group pairs
+    runs along the contiguous last axis, where ``np.add.reduce`` adds each
+    row as it adds that row alone.
     """
     v = global_model.weights
-    for local in locals_:
-        if local.weights.shape != v.shape:
-            raise ShapeMismatchError(f"{local.weights.shape} vs {v.shape}")
-    if not locals_:
+    rows = np.ascontiguousarray(stack, dtype=float)  # no copy of a C-contiguous float stack
+    if rows.ndim != 2 or rows.shape[1] != v.size:
+        raise ShapeMismatchError(f"models {rows.shape} vs {v.shape}")
+    if not len(rows):
         return []
-    rows = np.stack([local.weights for local in locals_])
     dissim = _pairwise(rows, v[None, :], _COSINE)
 
     group_count, group_size = _tiling(grouping, v.size)
     if group_count == 1:
-        red = np.zeros(len(locals_))
+        red = np.zeros(len(rows))
     else:
-        groups = rows.reshape(len(locals_), group_count, group_size)
+        groups = rows.reshape(len(rows), group_count, group_size)
         norms = []  # (models, pairs) norms in np.triu_indices order, the pairs of one first group at a time
         for first in range(group_count - 1):
             diffs = groups[:, first, None] - groups[:, first + 1 :]

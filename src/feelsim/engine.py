@@ -218,17 +218,19 @@ def model_report(device: DeviceProfile, index: float) -> DeviceReport:
     )
 
 
-def _train(state: SimulationState, devices: list) -> dict:
-    """Each device's locally trained model from the current global model, by id.
+def _train(state: SimulationState, devices: list) -> tuple:
+    """The devices' locally trained models from the current global model.
 
-    A device trains with the shuffles of ``derive_seed(master_seed, TRAINING,
-    id, round)``; the round's seeds are derived in one pass, and its devices
-    train in lockstep.
+    Returns each device's row by id, and the rows: ``train_many``'s one
+    weight stack, in the order of ``devices``.  A device trains with the
+    shuffles of ``derive_seed(master_seed, TRAINING, id, round)``; the
+    round's seeds are derived in one pass, and its devices train in lockstep.
     """
     cfg = state.cfg
     ids = [dev.id for dev in devices]
     seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, ids, state.round)
-    return dict(zip(ids, train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds))))
+    stack = train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds))
+    return dict(zip(ids, range(len(ids)))), stack
 
 
 def _drain(dev: DeviceProfile, joules: float) -> float:
@@ -238,23 +240,26 @@ def _drain(dev: DeviceProfile, joules: float) -> float:
     return charged
 
 
-def _model_indices(state: SimulationState, trained: dict) -> dict:
-    """Each trained device's reported model-diversity index, capped at the round's outlier ceiling."""
+def _model_indices(state: SimulationState, trained: dict, stack) -> dict:
+    """Each trained device's reported model-diversity index, by id, capped at the round's outlier ceiling.
+
+    ``trained`` maps each id to its model's row of ``stack``, in row order.
+    """
     data = state.cfg.data
     grouping = (data.n_classes, data.dim + 1)
-    raw = model_diversity_indices(list(trained.values()), state.model, grouping, data.diversity)
+    raw = model_diversity_indices(stack, state.model, grouping, data.diversity)
     if not raw:
         return {}
     ceiling = outlier_ceiling(raw, data.diversity.outlier_percentile)
-    return {did: model_report(state.devices[did], min(v, ceiling)).diversity_index for did, v in zip(trained, raw)}
+    return {did: float(min(v, ceiling)) for did, v in zip(trained, raw)}
 
 
-def _schedule(state: SimulationState, eligible: list, trained: dict) -> ScheduleDecision:
-    """Selection by the configured policy; ``trained`` holds the post-training mode's local models."""
+def _schedule(state: SimulationState, eligible: list, trained: dict, stack) -> ScheduleDecision:
+    """Selection by the configured policy; ``trained`` and ``stack`` hold the post-training mode's local models."""
     cfg = state.cfg
     k, shared = cfg.k_per_round, (cfg.constraints, cfg.network, cfg.train.epochs)
     if cfg.policy == "diversity_post":
-        return schedule_post_training(eligible, _model_indices(state, trained), k, *shared)
+        return schedule_post_training(eligible, _model_indices(state, trained, stack), k, *shared)
     if cfg.policy == "diversity_pre":
         return schedule_pre_training(eligible, state.dataset_indices, k, cfg.weights, *shared)
     if cfg.policy == "age_fair":
@@ -279,16 +284,16 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
     for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
         dev.channel = resample_channel(dev.channel, cfg.master_seed, did, rnd)
     eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
-    compute_times, energies, trained = {}, {}, {}
+    compute_times, energies, trained, stack = {}, {}, {}, None
     if train_first:
-        trained = _train(state, eligible)
+        trained, stack = _train(state, eligible)
         for dev in eligible:
             compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, epochs)
             energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, epochs))
-    decision = _schedule(state, eligible, trained)
+    decision = _schedule(state, eligible, trained, stack)
     participants = tuple(sorted(decision.selected)) if decision.round_valid else ()
     if not train_first:
-        trained = _train(state, [state.devices[did] for did in participants])
+        trained, stack = _train(state, [state.devices[did] for did in participants])
 
     times = {} if participants else compute_times
     for did in participants:
@@ -303,7 +308,7 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         dev.last_participation_round = rnd
 
     if participants:
-        chosen = [upload(trained[did], state.devices[did].dataset, did) for did in participants]
+        chosen = [upload(ModelParams(stack[trained[did]]), state.devices[did].dataset, did) for did in participants]
         state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)  # FedAvg is q = 0, which its config enforces
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(

@@ -7,13 +7,13 @@ penalty on the non-bias weights.  A round's devices train in lockstep
 (``train_many``): each epoch is a row of slots, one per full minibatch and
 then one per distinct ragged length, and the devices whose minibatch falls
 in the same slot take one stacked step.  Every device ends with the bits it
-gets training alone.  Training returns models only.  A device's final loss
-on its own data goes with its upload (``upload``), so it is computed only
-for the devices whose update is aggregated; ``local_train`` is both steps
-for one device.  Aggregation is sample-count weighted averaging, with a
-loss-reweighted variant that favors poorly served devices; the reduction
-always runs in ascending device id so results are bit-deterministic
-regardless of caller ordering.
+gets training alone.  Training returns models only, as the rows of one
+stack.  A device's final loss on its own data goes with its upload
+(``upload``), so it is computed only for the devices whose update is
+aggregated; ``local_train`` is both steps for one device.  Aggregation is
+sample-count weighted averaging, with a loss-reweighted variant that favors
+poorly served devices; the reduction always runs in ascending device id so
+results are bit-deterministic regardless of caller ordering.
 """
 
 from __future__ import annotations
@@ -160,11 +160,15 @@ def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device
     (model, data, config) triple always produces the identical update.  This
     is ``train_many`` for one device, then its ``upload``.
     """
-    return upload(train_many(model, [data], cfg, [cfg.seed])[0], data, device_id)
+    return upload(ModelParams(train_many(model, [data], cfg, [cfg.seed])[0]), data, device_id)
 
 
-def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list) -> list:
-    """Many devices' mini-batch SGD from one model, in lockstep; one trained ModelParams each.
+def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list) -> np.ndarray:
+    """Many devices' mini-batch SGD from one model, in lockstep; the trained models as one stack.
+
+    Row i of the returned read-only, C-contiguous ``(devices, n_weights)``
+    array is device i's trained weight vector; no devices give zero rows.
+    No per-device ``ModelParams`` is made: a caller wraps the rows it keeps.
 
     Device i trains on ``datasets[i]`` with the shuffles of
     ``np.random.default_rng(seeds[i])``; ``cfg.seed`` is not read.  Every
@@ -185,10 +189,10 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     their bits.  A dataset whose feature width or labels do not fit the
     model raises ``ShapeMismatchError`` naming its index.
     """
-    if not datasets:
-        return []
-    dim = datasets[0].features.shape[1]
     n_weights = model.weights.size
+    if not datasets:
+        return np.empty((0, n_weights))
+    dim = datasets[0].features.shape[1]
     for i, data in enumerate(datasets):
         if data.task_kind != "classification" or data.n_samples == 0:
             raise EmptyDatasetError("local training needs a non-empty classification set")
@@ -224,7 +228,9 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
         grad *= cfg.learning_rate
         w -= grad
         weights[ids] = w
-    return [ModelParams(w.ravel()) for w in weights]
+    stack = weights.reshape(len(datasets), n_weights)  # a view: the trained weights are not copied
+    stack.flags.writeable = False
+    return stack
 
 
 def upload(params: ModelParams, data: LocalDataset, device_id: int) -> Update:
@@ -243,15 +249,24 @@ def upload(params: ModelParams, data: LocalDataset, device_id: int) -> Update:
 def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:
     """Every device's epochs of shuffles in a row, as rows of the devices' concatenated data.
 
-    Device i draws each epoch's ``permutation`` from its own
-    ``default_rng(seeds[i])``, in the order ``local_train`` draws them.
+    Device i draws each epoch's shuffle from its own ``default_rng(seeds[i])``,
+    in the order ``local_train`` draws them.  Each epoch is a slice of one
+    order array, copied from the device's ascending row numbers and shuffled
+    in place; ``Generator.shuffle`` moves elements by position alone, so the
+    slice holds ``permutation(n)`` plus the device's first row, bit for bit.
     """
-    shuffles = []
-    for n, seed in zip(sizes.tolist(), seeds, strict=True):
-        rng = np.random.default_rng(seed)
-        shuffles += [rng.permutation(n) for _ in range(epochs)]
-    order = np.concatenate(shuffles)
-    order += np.repeat(np.cumsum(sizes) - sizes, epochs * sizes)
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1])
+    order = np.empty(epochs * rows.size, dtype=np.int64)
+    lo = 0
+    for first, end, seed in zip((ends - sizes).tolist(), ends.tolist(), seeds, strict=True):
+        shuffle = np.random.default_rng(seed).shuffle
+        for _ in range(epochs):
+            hi = lo + end - first
+            epoch = order[lo:hi]
+            epoch[...] = rows[first:end]
+            shuffle(epoch)
+            lo = hi
     return order
 
 

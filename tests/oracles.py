@@ -2,9 +2,11 @@
 
 Everything here is written as directly as possible from the defining
 formulas: explicit Python loops, ``math`` scalar ops, no shared code with the
-package under test.  Slow on purpose.  There are three exceptions:
+package under test.  Slow on purpose.  There are four exceptions:
 ``reference_local_train``, the straightforward numpy SGD loop that the fast
 path in ``feelsim.learning`` must match bit for bit;
+``reference_shuffled_rows``, the per-device ``permutation`` loop whose
+shuffles ``feelsim.learning._shuffled_rows`` must match bit for bit;
 ``reference_partition``, the per-device loop that ``feelsim.datagen.partition``
 must match bit for bit, which takes its sizes and quotas from the package,
 since only the bookkeeping after them is under test; and
@@ -196,6 +198,18 @@ def reference_local_train(weights, features, labels, epochs: int, batch_size: in
             w = w - learning_rate * grad
     final_loss, _ = reference_loss_and_grad(w, features, labels, 0.0)
     return w, final_loss
+
+
+def reference_shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:
+    """Every device's epochs of ``permutation``s from its own ``default_rng(seed)``, in a row,
+    each moved to the device's rows of the concatenated data."""
+    shuffles = []
+    for n, seed in zip(sizes.tolist(), seeds, strict=True):
+        rng = np.random.default_rng(seed)
+        shuffles += [rng.permutation(n) for _ in range(epochs)]
+    order = np.concatenate(shuffles)
+    order += np.repeat(np.cumsum(sizes) - sizes, epochs * sizes)
+    return order
 
 
 def largest_remainder(proportions, total: int) -> list:

@@ -1,8 +1,12 @@
-"""The summary that ``scripts/bench_pairs.py`` writes, on synthetic runs: no process is started."""
+"""``scripts/bench_pairs.py``: its summary, on synthetic runs, and its clean-up when it is stopped by a signal."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import signal
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,53 @@ def test_summary_of_digest_runs_carries_the_note_and_no_metrics():
     entry = bench_pairs._summary(runs, METRICS, note="digest runs only")
     assert entry["note"] == "digest runs only" and "metrics" not in entry
     assert entry["pairs"] == 1
+
+
+def _main_in_child(tmpdir: Path, started: Path, out: Path) -> None:
+    """``main`` in this forked child, under its own TMPDIR, with a ``_run`` that blocks; never returns."""
+    code = 1
+    try:
+        os.environ["TMPDIR"] = str(tmpdir)
+        tempfile.tempdir = None  # gettempdir() reads TMPDIR again
+        bench_pairs._git = lambda *args: "0" * 40
+        bench_pairs._export = lambda rev, dest: (dest / "exported").write_text(rev)
+
+        def blocking_run(checkout, workload, seed, seconds):
+            started.write_text(str(checkout))
+            time.sleep(30)
+
+        bench_pairs._run = blocking_run
+        code = bench_pairs.main(["--parent", "HEAD", "--workloads", "post_fleet", "--out", str(out)])
+    except SystemExit as stop:
+        code = stop.code
+    finally:
+        os._exit(code)
+
+
+def test_sigterm_removes_the_exported_parent_tree(tmp_path):
+    tmpdir, started = tmp_path / "tmp", tmp_path / "started"
+    tmpdir.mkdir()
+    pid = os.fork()
+    if pid == 0:
+        _main_in_child(tmpdir, started, tmp_path / "out.json")
+    status = None
+    try:
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0), "bench_pairs ended before its first run"
+            time.sleep(0.005)
+        exported = [p.name for p in tmpdir.glob("bench-pairs-*/exported")]
+        assert len(exported) == 1  # the parent tree is there while the run blocks
+        os.kill(pid, signal.SIGTERM)
+        while status is None and time.monotonic() < deadline:
+            done, code = os.waitpid(pid, os.WNOHANG)
+            if done:
+                status = code
+            else:
+                time.sleep(0.005)
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 128 + signal.SIGTERM
+    assert not list(tmpdir.glob("bench-pairs-*"))

@@ -565,12 +565,12 @@ def test_row_sums_of_a_c_contiguous_stack_are_each_rows_own(lead):
 
 
 def _post_fleet_updates(count, grouping, seed):
-    """A global model and ``count`` local models spread around it at scales from 1e-9 to 1e2."""
+    """A global model and ``count`` local models spread around it at scales from 1e-9 to 1e2, as the rows of one stack."""
     rng = np.random.default_rng(seed)
     size = grouping[0] * grouping[1]
     ref = rng.uniform(-0.25, 0.25, size=size)
     scales = 10.0 ** rng.uniform(-9.0, 2.0, size=(count, 1))
-    return _params(ref), [_params(w) for w in ref + rng.normal(size=(count, size)) * scales]
+    return _params(ref), ref + rng.normal(size=(count, size)) * scales
 
 
 @pytest.mark.parametrize(
@@ -578,11 +578,12 @@ def _post_fleet_updates(count, grouping, seed):
     [(300, (6, 17)), (40, (10, 17)), (40, (2, 3)), (40, (1, 5))],  # post_fleet's shape; 170 parameters take the halving branch
 )
 def test_model_diversity_indices_are_each_models_own(count, grouping):
-    ref, locals_ = _post_fleet_updates(count, grouping, seed=grouping[0])
+    ref, stack = _post_fleet_updates(count, grouping, seed=grouping[0])
+    locals_ = [_params(w) for w in stack]
     cosine = DissimilarityMetric("cosine")
     for weights, cap in (((0.7, 0.3), 1.0), ((0.25, 0.75), 0.05)):
         cfg = DiversityConfig(model_dissimilarity_weight=weights[0], model_redundancy_weight=weights[1], redundancy_cap=cap)
-        got = model_diversity_indices(locals_, ref, grouping, cfg)
+        got = model_diversity_indices(stack, ref, grouping, cfg)
         alone = [model_diversity_index(local, ref, grouping, cfg) for local in locals_]
         blend = [
             weights[0] * model_global_dissimilarity(local, ref, cosine)
@@ -595,34 +596,33 @@ def test_model_diversity_indices_are_each_models_own(count, grouping):
 
 
 def test_model_diversity_indices_keep_nan_bits():
-    ref, locals_ = _post_fleet_updates(40, (6, 17), seed=3)
+    ref, poisoned = _post_fleet_updates(40, (6, 17), seed=3)
     rng = np.random.default_rng(4)
-    poisoned = []
-    for i, local in enumerate(locals_):  # every other model holds NaNs as a diverged SGD leaves them, and infinities
-        w = local.weights.copy()
-        if i % 2:
-            w[rng.integers(0, w.size, size=3)] = rng.choice([np.inf - np.inf, np.inf, -np.inf], size=3)
-        poisoned.append(_params(w))
+    for w in poisoned[1::2]:  # every other model holds NaNs as a diverged SGD leaves them, and infinities
+        w[rng.integers(0, w.size, size=3)] = rng.choice([np.inf - np.inf, np.inf, -np.inf], size=3)
     cfg = DiversityConfig()
     with np.errstate(invalid="ignore"):
         got = model_diversity_indices(poisoned, ref, (6, 17), cfg)
-        alone = [model_diversity_index(local, ref, (6, 17), cfg) for local in poisoned]
+        alone = [model_diversity_index(_params(w), ref, (6, 17), cfg) for w in poisoned]
     assert sum(math.isnan(v) for v in got) == 20
     assert np.array_equal(_bits(got), _bits(alone))
 
 
 def test_model_diversity_indices_keep_their_checks():
-    ref, locals_ = _post_fleet_updates(5, (2, 3), seed=1)
+    ref, stack = _post_fleet_updates(5, (2, 3), seed=1)
     cfg = DiversityConfig()
-    assert model_diversity_indices([], ref, (2, 3), cfg) == []
+    assert model_diversity_indices(stack[:0], ref, (2, 3), cfg) == []
     with pytest.raises(UndefinedAngleError):
-        model_diversity_indices([*locals_, _params(np.zeros(6))], ref, (2, 3), cfg)
+        model_diversity_indices(np.vstack([stack, np.zeros(6)]), ref, (2, 3), cfg)
     with pytest.raises(UndefinedAngleError):
-        model_diversity_indices(locals_, _params(np.zeros(6)), (2, 3), cfg)
+        model_diversity_indices(stack, _params(np.zeros(6)), (2, 3), cfg)
+    with pytest.raises(ShapeMismatchError):  # a wrong global model
+        model_diversity_indices(stack, _params(np.ones(4)), (2, 3), cfg)
+    for wrong in (stack[:, :4], np.ones((0, 4)), stack[0], stack[None]):  # a wrong width, or not a stack of rows
+        with pytest.raises(ShapeMismatchError):
+            model_diversity_indices(wrong, ref, (2, 3), cfg)
     with pytest.raises(ShapeMismatchError):
-        model_diversity_indices([*locals_, _params(np.ones(4))], ref, (2, 3), cfg)
-    with pytest.raises(ShapeMismatchError):
-        model_diversity_indices(locals_, ref, (4, 2), cfg)
+        model_diversity_indices(stack, ref, (4, 2), cfg)
 
 
 @pytest.mark.parametrize("cap", ["uncertainty_cap", "redundancy_cap"])

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -191,7 +191,7 @@ def test_local_train_is_bitwise_the_reference_loop(l2, batch, epochs):
     (preset,) = seeding.derived_seeds(5, seeding.TRAINING, [batch], epochs)
     _assert_train_matches_reference(weights, features, labels, by_int)
     data = _dataset(features, labels)
-    got = upload(train_many(ModelParams(weights), [data], cfg, [preset])[0], data, 0)
+    got = upload(ModelParams(train_many(ModelParams(weights), [data], cfg, [preset])[0]), data, 0)
     want = local_train(ModelParams(weights), data, by_int)
     assert np.array_equal(_bits(got.params.weights), _bits(want.params.weights))
     assert _bits(got.final_loss) == _bits(want.final_loss)
@@ -249,10 +249,10 @@ def _fleet(sizes, n_classes=4, dim=5, seed=0, scale=1.0):
 
 
 def _uploads(weights, datasets, cfg, seeds, ids) -> list:
-    """train_many's models, each with the update upload makes of it."""
+    """train_many's models, each with the update upload makes of its row."""
     trained = train_many(ModelParams(weights), datasets, cfg, seeds)
-    assert len(trained) == len(datasets)
-    return [upload(params, data, device_id) for params, data, device_id in zip(trained, datasets, ids, strict=True)]
+    assert trained.shape == (len(datasets), weights.size)
+    return [upload(ModelParams(row), data, device_id) for row, data, device_id in zip(trained, datasets, ids, strict=True)]
 
 
 def _assert_each_device_trains_as_alone(weights, datasets, cfg, seeds, ids):
@@ -384,6 +384,24 @@ def test_lockstep_steps_of_a_post_training_fleet():
     assert len(edges) - 1 <= 60
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=12),
+    epochs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    preset=st.booleans(),
+)
+@example(sizes=[1], epochs=3, seed=0, preset=True)
+@example(sizes=[1, 300, 1], epochs=2, seed=7, preset=False)
+def test_shuffled_rows_are_bitwise_the_per_device_permutations(sizes, epochs, seed, preset):
+    ids = list(range(len(sizes)))
+    seeds = list(seeding.derived_seeds(seed, seeding.TRAINING, ids, 3)) if preset else [seed + i for i in ids]
+    got = learning._shuffled_rows(np.array(sizes), seeds, epochs)
+    want = oracles.reference_shuffled_rows(np.array(sizes), seeds, epochs)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_train_many_takes_the_engines_preset_seeds():
     weights, datasets = _fleet(RAGGED, seed=3)
     ids = [9, 4, 7, 0, 2, 5, 8]
@@ -424,7 +442,20 @@ def test_train_many_device_is_the_same_alone_in_a_crowd_and_in_any_order():
 
 
 def test_train_many_of_no_devices_is_empty():
-    assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), []) == []
+    assert train_many(init_model(2, 2, seed=0), [], TrainConfig(), []).shape == (0, 6)
+
+
+def test_train_many_returns_one_read_only_c_contiguous_stack_of_each_devices_model():
+    weights, datasets = _fleet(RAGGED, seed=8)
+    cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=0.1)
+    stack = train_many(ModelParams(weights), datasets, cfg, list(range(len(RAGGED))))
+    assert stack.shape == (len(RAGGED), weights.size) and stack.dtype == np.float64
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0] = 0.0
+    for i, data in enumerate(datasets):
+        (alone,) = train_many(ModelParams(weights), [data], cfg, [i])
+        assert np.array_equal(_bits(stack[i]), _bits(alone))
 
 
 @pytest.mark.parametrize("position, width", [(0, 4), (2, 4), (2, 3)])  # 4 fits no model of 24 weights, 3 fits one
