@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, LocalDataset, require_finite
+from .domain import DeviceProfile, LocalDataset, _trusted_channel, require_finite
 from .errors import InsufficientPoolError, ValidationError
 
 SKEW_KINDS = ("iid", "dirichlet")
@@ -270,7 +270,7 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
     seeds = seeding.substream_seeds(master_seed, seeding.FLEET, range(len(datasets)))
     for i, (dataset, seed) in enumerate(zip(datasets, seeds)):
         rng = np.random.default_rng(seed)
-        mean_snr = spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal()
+        mean_snr = float(spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal())
         u_cycles, u_freq, u_battery, u_power = rng.random(4).tolist()
         profile = DeviceProfile(
             id=i,
@@ -280,7 +280,7 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
             tx_power=power_lo + power_span * u_power,
             energy_per_cycle=spec.energy_per_cycle,
             capacity_joules=spec.capacity_joules,
-            channel=ChannelState(snr_db=float(mean_snr), mean_snr_db=float(mean_snr), std_snr_db=spec.std_snr_db),
+            channel=_trusted_channel(mean_snr, mean_snr, spec.std_snr_db),
             dataset=dataset,
         )
         fleet.append(profile)

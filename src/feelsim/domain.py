@@ -15,7 +15,7 @@ energy are read off its per-device ledgers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,8 @@ def require_finite(config, *unbounded: str) -> None:
     both, except ``inf`` in the fields named in ``unbounded``; ints and
     ``None`` are skipped.
     """
-    for name, value in vars(config).items():
+    for f in fields(config):
+        name, value = f.name, getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value) and (name not in unbounded or math.isnan(value)):
             raise ValidationError("not_finite", f"{name} = {value}")
 
@@ -108,9 +109,17 @@ class LocalDataset:
         return np.bincount(self.labels, minlength=n_classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelState:
-    """Per-device channel: current SNR plus the distribution it is drawn from."""
+    """Per-device channel: current SNR plus the distribution it is drawn from.
+
+    No field is NaN and the std is finite and nonnegative; the SNR and its
+    mean may be infinite.  ``_trusted_channel`` is the one internal path
+    that does not check: ``make_fleet`` takes it for the channels it draws
+    from a checked ``FleetSpec``, and ``resample_channel`` for each round's
+    fade.  A fleet holds one per device and a round makes one per device,
+    so the fields are slots: an instance has no ``__dict__``.
+    """
 
     snr_db: float
     mean_snr_db: float
@@ -119,6 +128,26 @@ class ChannelState:
     def __post_init__(self):
         if self.std_snr_db < 0:
             raise ValidationError("negative_snr_std")
+        require_finite(self, "snr_db", "mean_snr_db")
+
+
+# each field's slot setter, which writes past the frozen __setattr__
+_set_snr, _set_mean_snr, _set_std_snr = (
+    ChannelState.__dict__[name].__set__ for name in ("snr_db", "mean_snr_db", "std_snr_db")
+)
+
+
+def _trusted_channel(snr_db: float, mean_snr_db: float, std_snr_db: float) -> ChannelState:
+    """A channel of fields the caller has checked, built past ``__init__`` and ``__post_init__``.
+
+    A plain function, as a classmethod's lookup and binding would cost more
+    than the three slot writes.
+    """
+    channel = object.__new__(ChannelState)
+    _set_snr(channel, snr_db)
+    _set_mean_snr(channel, mean_snr_db)
+    _set_std_snr(channel, std_snr_db)
+    return channel
 
 
 @dataclass

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, require_finite
+from .domain import ChannelState, DeviceProfile, _trusted_channel, require_finite
 from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 
 ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
@@ -127,9 +127,14 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     hi = max(c + bits / (e * equal_share) for e, c in terms)
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
+        # a step that leaves (lo, hi) as it was is a fixed point: every later step repeats it
         if demand(mid) > band:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     raw = [bits / (e * (hi - c)) for e, c in terms]
     scale = band / sum(raw)
@@ -167,5 +172,8 @@ def resample_channel(
     order draw each block once; no draw depends on the cache or on the fleet
     size.
     """
+    mean, std = channel.mean_snr_db, channel.std_snr_db
+    if not std >= 0:  # a constructed ChannelState passed this; one set past its check has not
+        raise ValidationError("negative_snr_std", f"{std}")
     z = _channel_normals(master_seed, round_index, device_id // _CHANNEL_BLOCK)[device_id % _CHANNEL_BLOCK]
-    return ChannelState(float(channel.mean_snr_db + channel.std_snr_db * z), channel.mean_snr_db, channel.std_snr_db)
+    return _trusted_channel(float(mean + std * z), mean, std)

@@ -124,8 +124,22 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def _best_first(devices: list, score: np.ndarray, *ties) -> list:
-    return [devices[i] for i in np.lexsort(([d.id for d in devices], *reversed(ties), -score))]
+def _best_first(devices: list, score: np.ndarray, *ties, k: int) -> list:
+    """The first k devices by descending score, then ascending tie keys, then lower id, a NaN score last.
+
+    Only the devices whose score reaches the k-th best, or is NaN, are
+    sorted: every tie at the cut stays in, and every device does when the
+    k-th best is NaN or k >= n.  The k-th best comes from a stable
+    ``np.sort``, not ``np.partition``: at 2000 scores that is about 70 us
+    slower, but the first ``np.partition`` call of a process maps about
+    320 KB of code, which ``peak_rss_mb`` counts.
+    """
+    key = -score
+    kth = np.sort(key, kind="stable")[min(k, len(devices)) - 1]
+    rows = np.flatnonzero(~(key > kth))
+    ids = [devices[i].id for i in rows.tolist()]
+    order = np.lexsort((ids, *(np.asarray(tie)[rows] for tie in reversed(ties)), key[rows]))[:k]
+    return [devices[i] for i in rows[order].tolist()]
 
 
 def _top_k(
@@ -167,7 +181,7 @@ def schedule_pre_training(
         snr = _minmax(np.array([d.channel.snr_db for d in eligible]))
         batt = np.array([d.battery_level for d in eligible])
         score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
-        return _best_first(eligible, score)
+        return _best_first(eligible, score, k=k)
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 
@@ -183,7 +197,7 @@ def schedule_post_training(
     """Top-K eligible devices by reported model-diversity index (already clamped)."""
 
     def rank() -> list:
-        return _best_first(eligible, np.array([float(indices[d.id]) for d in eligible]))
+        return _best_first(eligible, np.array([float(indices[d.id]) for d in eligible]), k=k)
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 
@@ -261,7 +275,7 @@ def schedule_age_fair(
     def rank() -> list:
         last = [d.last_participation_round for d in eligible]
         ages = np.array([math.inf if r is None else current_round - r for r in last], dtype=float)
-        return _best_first(eligible, ages, [d.participation_count for d in eligible])
+        return _best_first(eligible, ages, [d.participation_count for d in eligible], k=k)
 
     return _top_k(eligible, k, rank, constraints, net, epochs)
 

@@ -2,7 +2,7 @@
 
 Everything here is written as directly as possible from the defining
 formulas: explicit Python loops, ``math`` scalar ops, no shared code with the
-package under test.  Slow on purpose.  There are four exceptions:
+package under test.  Slow on purpose.  There are five exceptions:
 ``reference_local_train``, the straightforward numpy SGD loop that the fast
 path in ``feelsim.learning`` must match bit for bit;
 ``reference_shuffled_rows``, the per-device ``permutation`` loop whose
@@ -11,7 +11,10 @@ shuffles ``feelsim.learning._shuffled_rows`` must match bit for bit;
 must match bit for bit, which takes its sizes and quotas from the package,
 since only the bookkeeping after them is under test; and
 ``reference_target_sizes``, the integer size rule whose sizes
-``feelsim.datagen._target_sizes`` must match wherever they fit the pool.
+``feelsim.datagen._target_sizes`` must match wherever they fit the pool; and
+``reference_equalize_completion``, the bisection of all 60 steps whose
+shares ``feelsim.network.allocate_bandwidth`` must match bit for bit, which
+takes each device's spectral efficiency and compute time from the package.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from feelsim.datagen import _largest_remainder, _target_sizes
 from feelsim.errors import InsufficientPoolError
+from feelsim.network import channel_rate, compute_time
 
 
 def shannon_entropy(counts) -> float:
@@ -210,6 +214,27 @@ def reference_shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.n
     order = np.concatenate(shuffles)
     order += np.repeat(np.cumsum(sizes) - sizes, epochs * sizes)
     return order
+
+
+def reference_equalize_completion(selected: list, cfg, epochs: int) -> dict:
+    """The ``equalize_completion`` shares after all 60 bisection steps on the common finish time."""
+    band, bits = cfg.total_bandwidth, cfg.model_size_bits
+    terms = [(channel_rate(d.channel, 1.0), compute_time(d, d.dataset.n_samples, epochs)) for d in selected]
+
+    def demand(t: float) -> float:
+        return sum(bits / (e * (t - c)) for e, c in terms)
+
+    lo = max(c for _, c in terms)
+    hi = max(c + bits / (e * (band / len(selected))) for e, c in terms)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if demand(mid) > band:
+            lo = mid
+        else:
+            hi = mid
+    raw = [bits / (e * (hi - c)) for e, c in terms]
+    scale = band / sum(raw)
+    return {d.id: share * scale for d, share in zip(selected, raw)}
 
 
 def largest_remainder(proportions, total: int) -> list:

@@ -159,6 +159,25 @@ def test_channel_state_rejects_negative_std():
         ChannelState(snr_db=0.0, mean_snr_db=0.0, std_snr_db=-1.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan), (0.0, 0.0, math.inf)],
+    ids=["nan_snr", "nan_mean", "nan_std", "inf_std"],
+)
+def test_channel_state_refuses_nan_and_an_infinite_std(fields):
+    # a NaN SNR passed filter_eligible's floor (nan < min_snr_db is False) and
+    # made equalize_completion's shares NaN, which failed _top_k's assert; an
+    # infinite std fades to inf - inf
+    with pytest.raises(ValidationError, match="not_finite"):
+        ChannelState(*fields)
+
+
+def test_channel_state_keeps_an_infinite_snr_and_mean():
+    assert ChannelState(math.inf, -math.inf, 0.0).snr_db == math.inf
+    with pytest.raises(ValidationError, match="negative_snr_std"):
+        ChannelState(0.0, 0.0, -math.inf)
+
+
 def test_device_report_carries_exactly_one_scalar_and_battery():
     names = [f.name for f in dataclasses.fields(DeviceReport)]
     assert names == ["device_id", "diversity_index", "battery_level"]

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_device
 from feelsim import seeding
 from feelsim.domain import ChannelState
@@ -224,6 +229,31 @@ def test_equalize_shares_positive_and_sum_exact(seed):
     assert sum(shares.values()) == pytest.approx(1e6, rel=1e-9)
 
 
+# SNRs past the overflow of 10 ** (snr / 10), and far below 0 dB
+_EXTREME_SNRS = [-300.0, -40.0, 0.0, 60.0, 3085.0, 5000.0]
+
+
+@pytest.mark.parametrize("k", [1, 6, 100])
+def test_equalize_stops_at_its_fixed_point_with_the_bits_of_all_60_steps(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20 if k < 100 else 4):
+        snrs = np.where(rng.random(k) < 0.3, rng.choice(_EXTREME_SNRS, k), rng.uniform(-20.0, 40.0, k))
+        devs = [
+            SimpleNamespace(
+                id=i,
+                channel=ChannelState(float(snr), float(snr), 2.0),
+                dataset=SimpleNamespace(n_samples=int(rng.integers(1, 500))),
+                cpu_cycles_per_sample=float(rng.uniform(1e5, 2e6)),
+                cpu_freq=float(rng.uniform(5e8, 2e9)),
+            )
+            for i, snr in enumerate(snrs)
+        ]
+        cfg = _equalize_cfg(bw=float(rng.choice([2e4, 1e6, 1e9])))
+        epochs = int(rng.integers(1, 4))
+        want = {i: share.hex() for i, share in oracles.reference_equalize_completion(devs, cfg, epochs).items()}
+        assert {i: share.hex() for i, share in allocate_bandwidth(devs, cfg, epochs).items()} == want
+
+
 # -------------------------------------------------------------------- energy
 
 
@@ -293,6 +323,27 @@ def test_resample_channel_keeps_the_distribution_and_its_input():
     assert out.snr_db.hex() == replace(channel, snr_db=float(channel.mean_snr_db + channel.std_snr_db * z)).snr_db.hex()
     assert (out.mean_snr_db, out.std_snr_db) == (9.5, 2.75)
     assert channel == ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75)
+
+
+def test_resample_channel_builds_a_channel_like_the_constructor():
+    channel = ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75)
+    out = resample_channel(channel, 7, 300, 2)
+    built = ChannelState(out.snr_db, 9.5, 2.75)
+    assert type(out) is ChannelState
+    assert (out, hash(out), repr(out)) == (built, hash(built), repr(built))
+    assert not hasattr(out, "__dict__")  # its three slots are all it carries
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.snr_db = 0.0
+    for copied in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out), replace(out)):
+        assert copied == out and repr(copied) == repr(out)
+    assert replace(out, snr_db=1.0) == ChannelState(1.0, 9.5, 2.75)
+
+
+def test_resample_channel_refuses_a_nan_std():
+    channel = ChannelState(snr_db=10.0, mean_snr_db=10.0, std_snr_db=1.0)
+    object.__setattr__(channel, "std_snr_db", math.nan)
+    with pytest.raises(ValidationError, match="negative_snr_std"):
+        resample_channel(channel, 0, 0, 0)
 
 
 def test_resample_channel_refuses_a_negative_std():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -313,7 +313,7 @@ def test_pre_training_equal_scores_prefer_lower_id_in_any_input_order(order):
 
 def test_best_first_ties_negative_zero_with_zero():
     devices = [SimpleNamespace(id=i) for i in (4, 2, 9, 1)]
-    ranked = _best_first(devices, np.array([0.0, -0.0, -0.0, 0.0]))
+    ranked = _best_first(devices, np.array([0.0, -0.0, -0.0, 0.0]), k=4)
     assert [d.id for d in ranked] == [1, 2, 4, 9]
 
 
@@ -327,10 +327,40 @@ def test_best_first_orders_as_the_sorted_score_id_key():
     tie = rng.integers(0, 3, size=2000)
     devices = [SimpleNamespace(id=int(i)) for i in ids]
     expected = sorted(range(2000), key=lambda i: (-score[i], ids[i]))
-    assert [d.id for d in _best_first(devices, score)] == [int(ids[i]) for i in expected]
+    assert [d.id for d in _best_first(devices, score, k=2000)] == [int(ids[i]) for i in expected]
     # a tie key orders equal scores before the id does
     expected = sorted(range(2000), key=lambda i: (-score[i], tie[i], ids[i]))
-    assert [d.id for d in _best_first(devices, score, tie)] == [int(ids[i]) for i in expected]
+    assert [d.id for d in _best_first(devices, score, tie, k=2000)] == [int(ids[i]) for i in expected]
+
+
+_RANK_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_RANK_SCORES, st.integers(0, 2), st.integers(0, 99)), min_size=1, max_size=30, unique_by=lambda r: r[2]
+    ),
+    st.integers(1, 32),
+    st.booleans(),
+)
+@example(rows=[(math.nan, 0, 5), (0.5, 1, 3), (math.nan, 2, 1)], k=2, with_tie=False)  # the k-th best is NaN
+def test_best_first_is_the_first_k_of_the_sorted_key(rows, k, with_tie):
+    n = len(rows)
+    k = 1 + (k - 1) % (n + 2)  # 1 to n + 2
+    score = np.array([s for s, _, _ in rows])
+    tie = [t for _, t, _ in rows]
+    ids = [i for _, _, i in rows]
+    devices = [SimpleNamespace(id=i) for i in ids]
+
+    # the key of test_best_first_orders_as_the_sorted_score_id_key, with a NaN score last
+    def key(i):
+        nan = math.isnan(score[i])
+        return (nan, 0.0 if nan else -score[i], tie[i] if with_tie else 0, ids[i])
+
+    expected = [ids[i] for i in sorted(range(n), key=key)][:k]
+    ranked = _best_first(devices, score, *([tie] if with_tie else []), k=k)
+    assert [d.id for d in ranked] == expected
 
 
 def test_pre_training_selection_invariant_to_index_rescaling():
