@@ -39,7 +39,7 @@ from .diversity import (
     gini_simpson,
     shannon_entropy,
 )
-from .domain import LocalDataset
+from .domain import LocalDataset, left_sum
 from .engine import SimulationConfig, run_simulation
 from .errors import FeelsimError
 
@@ -94,10 +94,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
                     "scheduler": scheduler,
                     "seed": seed,
                     "rounds_to_target": result.rounds_to_target,
-                    "total_time_s": sum(r.duration_s for r in records),
-                    "total_energy_j": sum(r.total_energy_j for r in records),
+                    "total_time_s": left_sum(r.duration_s for r in records),
+                    "total_energy_j": left_sum(r.total_energy_j for r in records),
                     "final_accuracy": records[-1].global_accuracy,
-                    "mean_jain": sum(r.jain_fairness for r in records) / len(records),
+                    "mean_jain": left_sum(r.jain_fairness for r in records) / len(records),
                     "aborted_rounds": result.aborted_rounds,
                 }
             )

@@ -31,6 +31,20 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def left_sum(values):
+    """``sum(values)`` added one term at a time, left to right, from the int 0.
+
+    This is how Python 3.11 and earlier add floats.  Python 3.12's ``sum``
+    compensates their rounding, so a total that reaches a record or a CSV
+    would change its bits with the interpreter.  No terms give the int 0, as
+    ``sum`` does.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def require_simplex(*weights: float) -> None:
     """Raise unless the weights are finite, nonnegative and sum to one."""
     if not all(math.isfinite(w) and w >= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
@@ -236,5 +250,5 @@ class RoundRecord:
     @property
     def total_energy_j(self) -> float:
         """The energy every device paid this round, compute and upload."""
-        return sum(self.device_energy.values())
+        return left_sum(self.device_energy.values())
 

@@ -6,11 +6,13 @@ training is plain mini-batch SGD on softmax cross-entropy with an optional L2
 penalty on the non-bias weights.  A round's devices train in lockstep
 (``train_many``): each epoch is a row of slots, one per full minibatch and
 then one per distinct ragged length, and the devices whose minibatch falls
-in the same slot take one stacked step.  Every device ends with the bits it
-gets training alone.  Training returns models only, as the rows of one
-stack.  A device's final loss on its own data goes with its upload
-(``upload``), so it is computed only for the devices whose update is
-aggregated; ``local_train`` is both steps for one device.  Aggregation is
+in the same slot take one stacked step, and an epoch's ragged steps run as
+one pass of the gradient kernel.  Every device ends with the bits it gets
+training alone (a diverged device's NaN sign aside, see ``train_many``).
+Training returns models only, as the rows of one stack.  A device's final
+loss on its own data goes with its upload (``upload``), so it is computed
+only for the devices whose update is aggregated; ``local_train`` is both
+steps for one device.  Aggregation is
 sample-count weighted averaging, with a loss-reweighted variant that favors
 poorly served devices; the reduction always runs in ascending device id so
 results are bit-deterministic regardless of caller ordering.
@@ -110,31 +112,52 @@ def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:
     return ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
 
 
-def _gradients(w: np.ndarray, xb: np.ndarray, onehot: np.ndarray, l2_reg: float) -> np.ndarray:
-    """The loss gradient of each slice of a stack: (G, k, dim+1) blocks.
+def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: list, l2_reg: float) -> np.ndarray:
+    """The loss gradients of one pass of stacked steps on distinct devices: (D, k, dim+1) blocks.
 
-    Slice g is the gradient at weights ``w[g]`` on the rows ``xb[g]`` with
-    one-hot labels ``onehot[g]``, bit for bit what it is with G = 1: each
-    product is a stack of per-slice products, which numpy computes slice by
-    slice with the same gemm call, and each sum runs along the same
-    contiguous axis as it does for one slice.  Subtracting the one-hot row
-    equals subtracting 1 at the label alone, since x - 0.0 == x for every
-    float, -0.0 and NaN included.
+    ``steps`` lists each step's (devices G, rows per device L) in order; ``w``
+    holds the D devices' weights in that order, and ``x`` and ``onehot`` their
+    rows, device after device.  Each step's blocks are bit for bit what the
+    step alone gives, whatever steps share the pass.
+
+    Per step: the two gemms, (G, L, d) @ (G, d, k) into the step's slice of
+    one (rows, k) buffer and the weight-gradient product out of it (numpy
+    calls the same BLAS routine on each slice of a stack); the divide by L,
+    a Python int; and the two additions of arrays, the bias and the L2
+    penalty.  numpy's add may keep the first operand's NaN in one part of
+    its loop and the second's in another (with AVX-512: a full vector
+    against the loop's tail), so where a NaN meets a NaN its bits depend on
+    where the pair sits in the call, and these additions run over the
+    step's own arrays.  The rest runs once over the whole buffer:
+    the row max and row sum reduce each row along its own k entries, and a
+    subtraction, division or exp keeps the same bits wherever an element
+    sits.  Subtracting the one-hot row equals subtracting 1 at the label
+    alone, since x - 0.0 == x for every float, -0.0 and NaN included.
     """
-    n, dim = xb.shape[1:]
+    dim = x.shape[1]
     w_mat = w[:, :, :dim]
-    probs = xb @ w_mat.transpose(0, 2, 1)
-    probs += w[:, None, :, dim]
-    probs -= np.maximum.reduce(probs, axis=2, keepdims=True)
+    probs = np.empty(onehot.shape)
+    parts = []
+    g = r = 0
+    for devices, n in steps:
+        h, s = g + devices, r + devices * n
+        p, xb = probs[r:s].reshape(devices, n, -1), x[r:s].reshape(devices, n, dim)
+        np.matmul(xb, w_mat[g:h].transpose(0, 2, 1), out=p)
+        p += w[g:h, None, :, dim]
+        parts.append((g, h, n, p, xb))
+        g, r = h, s
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=2)[:, :, None]
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
     probs -= onehot
-    probs /= n
+    penalty = l2_reg * w_mat
     grad = np.empty_like(w)
-    grad_w = grad[:, :, :dim]
-    np.matmul(probs.transpose(0, 2, 1), xb, out=grad_w)
-    grad_w += l2_reg * w_mat
-    np.add.reduce(probs, axis=1, out=grad[:, :, dim])
+    for g, h, n, p, xb in parts:
+        p /= n
+        grad_w = grad[g:h, :, :dim]
+        np.matmul(p.transpose(0, 2, 1), xb, out=grad_w)
+        grad_w += penalty[g:h]
+        np.add.reduce(p, axis=1, out=grad[g:h, :, dim])
     return grad
 
 
@@ -148,9 +171,10 @@ def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
     w_mat, bias = _unpack(weights, dim)
     logits, z = _softmax(features, w_mat, bias)
     loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
+    n = features.shape[0]
     blocks = weights.reshape(1, -1, dim + 1)
     onehot = np.eye(blocks.shape[1])[labels]
-    return loss, _gradients(blocks, features[None], onehot[None], l2_reg).ravel()
+    return loss, _pass_gradients(blocks, features, onehot, [(1, n)], l2_reg).ravel()
 
 
 def local_train(model: ModelParams, data: LocalDataset, cfg: TrainConfig, device_id: int = 0) -> Update:
@@ -174,20 +198,27 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     ``np.random.default_rng(seeds[i])``; ``cfg.seed`` is not read.  Every
     device's model is bit for bit the one it gets when it trains alone,
     whichever devices train beside it: ``w = w - lr * loss_and_grad(w,
-    batch)[1]`` step by step.  No loss is computed here; ``upload`` takes it.
+    batch)[1]`` step by step.  The one exception is a diverged device whose
+    NaNs of both signs meet in a stacked step's bias or L2 addition: which
+    NaN numpy keeps can depend on the device's place in the step.  No loss
+    is computed here; ``upload`` takes it.
 
     The devices whose minibatches fall in the same slot of
-    ``_lockstep_steps`` take one stacked step (``_gradients``): the j-th
-    full minibatch of every device in one slot, and every ragged last
-    minibatch of one length in another.  The call puts every step's rows in
+    ``_lockstep_steps`` take one stacked step: the j-th full minibatch of
+    every device in one slot, and every ragged last minibatch of one length
+    in another.  The steps run in passes of ``_pass_gradients``, one update
+    of the pass's devices each: every full step alone, then each epoch's
+    ragged steps, which hold distinct devices, in runs of at most
+    ``_GATHER_ROWS`` rows.  So a call takes E * (span + 1) passes when each
+    epoch's ragged rows fit in one run.  The call puts every step's rows in
     step order once, as an index into one concatenation of the devices'
-    data, so a stacked step is one contiguous slice of it.  Features and
-    one-hot labels (rows of ``np.eye(k)``) are gathered for a run of whole
-    steps at a time, at most ``_GATHER_ROWS`` rows unless one step alone
-    has more.  A step's slice, reshaped to (G, L, dim), has the shape and
-    strides a gather of that step alone would have, so its products keep
-    their bits.  A dataset whose feature width or labels do not fit the
-    model raises ``ShapeMismatchError`` naming its index.
+    data, so a pass is one contiguous slice of it.  Features and one-hot
+    labels (rows of ``np.eye(k)``) are gathered for a run of whole passes at
+    a time, at most ``_GATHER_ROWS`` rows unless one pass alone has more.  A
+    step's slice, reshaped to (G, L, dim), has the shape and strides a
+    gather of that step alone would have, so its products keep their bits.
+    A dataset whose feature width or labels do not fit the model raises
+    ``ShapeMismatchError`` naming its index.
     """
     n_weights = model.weights.size
     if not datasets:
@@ -207,24 +238,36 @@ def train_many(model: ModelParams, datasets: list, cfg: TrainConfig, seeds: list
     if labels.max() >= n_classes:
         i = np.searchsorted(np.cumsum(sizes), np.argmax(labels >= n_classes), side="right")
         raise ShapeMismatchError(f"dataset {i} has a label at or above the model's {n_classes} classes")
-    device, first, length, edges = _lockstep_steps(sizes, cfg.batch_size, cfg.epochs)
+    batch = cfg.batch_size
+    device, first, length, edges = _lockstep_steps(sizes, batch, cfg.epochs)
     ends = np.cumsum(length)
     rows = _shuffled_rows(sizes, seeds, cfg.epochs)[np.repeat(first - (ends - length), length) + np.arange(ends[-1])]
     cuts = np.concatenate(([0], ends))[edges].tolist()  # where each stacked step's rows start, then their end
+    lengths = length[edges[:-1]].tolist()
+    steps = list(zip(np.diff(edges).tolist(), lengths))  # (devices, rows per device) of each stacked step
+    width = len(steps) // cfg.epochs
+    span = lengths[:width].count(batch)
+    passes = []  # each pass's first step, then the step count
+    for e in range(0, len(steps), width):
+        passes += range(e, e + span)  # each full step alone
+        for s in range(e + span, e + width):  # the epoch's ragged steps, in runs of at most _GATHER_ROWS rows
+            if s == e + span or cuts[s + 1] - cuts[passes[-1]] > _GATHER_ROWS:
+                passes.append(s)
+    passes.append(len(steps))
+    starts = [cuts[s] for s in passes]  # where each pass's rows start, then their end
     features = np.concatenate([data.features for data in datasets])
     eye = np.eye(n_classes)
     weights = np.tile(model.weights, (len(datasets), 1)).reshape(len(datasets), -1, dim + 1)
     end = 0
-    for lo, hi, a, b in zip(edges, edges[1:], cuts, cuts[1:]):
-        if b > end:  # gather the whole steps from here on that fit in _GATHER_ROWS rows, at least this one
-            start, end = a, max(b, cuts[bisect.bisect_right(cuts, a + _GATHER_ROWS) - 1])
+    for s, t, a, b in zip(passes, passes[1:], starts, starts[1:]):
+        if b > end:  # gather the whole passes from here on that fit in _GATHER_ROWS rows, at least this one
+            start, end = a, max(b, starts[bisect.bisect_right(starts, a + _GATHER_ROWS) - 1])
             block = rows[start:end]
             x, onehot = features[block], eye[labels[block]]
+        lo, hi = edges[s], edges[t]
         ids = device[lo:hi]
-        w = weights[ids]
-        xb = x[a - start : b - start].reshape(hi - lo, -1, dim)
-        yb = onehot[a - start : b - start].reshape(hi - lo, -1, n_classes)
-        grad = _gradients(w, xb, yb, cfg.l2_reg)
+        w = weights.take(ids, axis=0)
+        grad = _pass_gradients(w, x[a - start : b - start], onehot[a - start : b - start], steps[s:t], cfg.l2_reg)
         grad *= cfg.learning_rate
         w -= grad
         weights[ids] = w

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, _trusted_channel, require_finite
+from .domain import ChannelState, DeviceProfile, _trusted_channel, left_sum, require_finite
 from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 
 ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
@@ -121,7 +121,10 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
     terms = list(zip(eff, comp))
 
     def demand(t: float) -> float:
-        return sum(bits / (e * (t - c)) for e, c in terms)
+        total = 0.0  # left to right, as left_sum adds, without a generator per call
+        for e, c in terms:
+            total += bits / (e * (t - c))
+        return total
 
     lo = max(comp)
     hi = max(c + bits / (e * equal_share) for e, c in terms)
@@ -137,7 +140,7 @@ def allocate_bandwidth(selected: list, cfg: NetworkConfig, epochs: int) -> dict:
                 break
             hi = mid
     raw = [bits / (e * (hi - c)) for e, c in terms]
-    scale = band / sum(raw)
+    scale = band / left_sum(raw)
     return {d.id: share * scale for d, share in zip(selected, raw)}
 
 

@@ -79,7 +79,9 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
 
     The completion check uses an equal share of the band across all offered
     devices, the most pessimistic share a selected device could end up with.
-    Devices whose rate underflows are unreachable and dropped.
+    Devices whose rate underflows are unreachable and dropped, and so are
+    devices whose completion time is not at most the deadline, a NaN time
+    included.
 
     One pass with the network formulas written out, in the operation order
     of ``expected_completion_time(dev, net, share, epochs)``:
@@ -111,8 +113,8 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
                 continue  # unreachable
         if epochs < 1:
             raise ValueError("need n_samples >= 0 and epochs >= 1")
-        if epochs * n * dev.cpu_cycles_per_sample / dev.cpu_freq + bits / rate > deadline:
-            continue
+        if not epochs * n * dev.cpu_cycles_per_sample / dev.cpu_freq + bits / rate <= deadline:
+            continue  # too slow, or a NaN time from a NaN cpu_freq or cpu_cycles_per_sample
         eligible.append(dev)
     return eligible
 

@@ -19,7 +19,9 @@ takes each device's spectral efficiency and compute time from the package.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -222,7 +224,7 @@ def reference_equalize_completion(selected: list, cfg, epochs: int) -> dict:
     terms = [(channel_rate(d.channel, 1.0), compute_time(d, d.dataset.n_samples, epochs)) for d in selected]
 
     def demand(t: float) -> float:
-        return sum(bits / (e * (t - c)) for e, c in terms)
+        return functools.reduce(operator.add, (bits / (e * (t - c)) for e, c in terms), 0.0)
 
     lo = max(c for _, c in terms)
     hi = max(c + bits / (e * (band / len(selected))) for e, c in terms)
@@ -233,7 +235,7 @@ def reference_equalize_completion(selected: list, cfg, epochs: int) -> dict:
         else:
             hi = mid
     raw = [bits / (e * (hi - c)) for e, c in terms]
-    scale = band / sum(raw)
+    scale = band / functools.reduce(operator.add, raw, 0.0)
     return {d.id: share * scale for d, share in zip(selected, raw)}
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feelsim.diversity import DissimilarityMetric, DiversityConfig
 from feelsim.domain import (
@@ -17,6 +21,7 @@ from feelsim.domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
+    left_sum,
 )
 from feelsim.engine import SimulationResult, SimulationState
 from feelsim.errors import ValidationError
@@ -181,3 +186,17 @@ def test_channel_state_keeps_an_infinite_snr_and_mean():
 def test_device_report_carries_exactly_one_scalar_and_battery():
     names = [f.name for f in dataclasses.fields(DeviceReport)]
     assert names == ["device_id", "diversity_index", "battery_level"]
+
+
+def test_left_sum_adds_left_to_right_without_compensation():
+    # Python 3.12's sum() gives 6.0 here: it carries each 1.0 that 1e16 absorbs
+    assert left_sum([1e16, 1.0, -1e16, 1.0] * 3) == 1.0
+    assert left_sum([]) == 0 and isinstance(left_sum([]), int)
+    assert math.copysign(1.0, left_sum([-0.0])) == 1.0  # 0 + -0.0, as sum() starts
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=30))
+def test_left_sum_is_the_left_fold_of_addition(values):
+    want = functools.reduce(operator.add, values, 0)
+    got = left_sum(iter(values))
+    assert type(got) is type(want) and float(got).hex() == float(want).hex()

@@ -319,6 +319,87 @@ def test_train_many_diverging_device_keeps_its_nan_bits_at_any_gather_cap(monkey
     assert all(math.isnan(u.final_loss) for u in got)
 
 
+# at batch 8: span 3 and four ragged lengths an epoch (2, 3, 5 and 6 rows: 2 + 9 + 15 + 18 = 44 rows);
+# at batch 32 every minibatch is ragged, so an epoch's run is all of its steps
+PASS_SIZES = (3, 5, 6, 11, 13, 14, 19, 21, 24, 2, 30)
+# a cap of 26 rows splits an epoch's ragged run at batch 8 into the 2-, 3- and 5-row steps and the 6-row one
+SPLIT_RUN = 26
+
+
+@pytest.mark.parametrize("cap", [None, SPLIT_RUN])
+@pytest.mark.parametrize("batch", [8, 32])
+@pytest.mark.parametrize("lr", [0.1, 1e306])  # 1e306 diverges every device to NaN
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_train_many_ragged_steps_in_one_pass_keep_every_devices_bits(monkeypatch, l2, lr, batch, cap):
+    if cap is not None:
+        monkeypatch.setattr(learning, "_GATHER_ROWS", cap)
+    weights, datasets = _fleet(PASS_SIZES, seed=batch, scale=50.0 if lr > 1 else 1.0)
+    cfg = TrainConfig(epochs=3, batch_size=batch, learning_rate=lr, l2_reg=l2)
+    ids = list(range(len(PASS_SIZES)))
+    with np.errstate(all="ignore"):
+        got = _assert_each_device_trains_as_alone(weights, datasets, cfg, [70 + i for i in ids], ids)
+    assert all(math.isnan(u.final_loss) for u in got) == (lr > 1)
+
+
+@pytest.mark.parametrize("cap, runs", [(None, 1), (SPLIT_RUN, 2)])
+def test_train_many_runs_one_pass_per_full_step_and_per_ragged_run(monkeypatch, cap, runs):
+    if cap is not None:
+        monkeypatch.setattr(learning, "_GATHER_ROWS", cap)
+    passes = []
+    kernel = learning._pass_gradients
+
+    def spy(w, x, onehot, steps, l2_reg):
+        passes.append(steps)
+        return kernel(w, x, onehot, steps, l2_reg)
+
+    monkeypatch.setattr(learning, "_pass_gradients", spy)
+    weights, datasets = _fleet(PASS_SIZES, seed=1)
+    epochs, batch = 3, 8
+    train_many(ModelParams(weights), datasets, TrainConfig(epochs=epochs, batch_size=batch), list(range(len(PASS_SIZES))))
+    span = max(PASS_SIZES) // batch
+    assert len(passes) == epochs * (span + runs)
+    per_epoch = len(passes) // epochs
+    for e in range(epochs):
+        epoch = passes[e * per_epoch : (e + 1) * per_epoch]
+        assert epoch[:span] == [[(7, 8)], [(4, 8)], [(2, 8)]]  # each full step alone
+        # the ragged steps in ascending length, as _lockstep_steps orders them, split only by the cap
+        assert [step for steps in epoch[span:] for step in steps] == [(1, 2), (3, 3), (3, 5), (3, 6)]
+        assert all(sum(g * n for g, n in steps) <= (cap or learning._GATHER_ROWS) for steps in epoch[span:])
+    passes.clear()
+    loss_and_grad(weights, datasets[3].features, datasets[3].labels, 0.0)
+    assert passes == [[(1, 11)]]  # one step of one device: the same kernel
+
+
+def _special(rng, shape):
+    """Floats drawn from finite values, both infinities and NaNs of either sign with assorted payloads."""
+    nans = (rng.integers(1, 2**51, size=8, dtype=np.uint64) | np.uint64(0x7FF8 << 48)).view(float)
+    pool = np.concatenate([nans, -nans, [np.inf, -np.inf, 0.0, -0.0], rng.standard_normal(16)])
+    return rng.choice(pool, size=shape)
+
+
+@pytest.mark.parametrize("n_classes", [4, 9])  # 9 classes fill a SIMD vector of 8 and leave a tail
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_pass_kernel_gives_each_step_the_bits_of_the_step_alone(l2, n_classes):
+    # NaNs of both signs meet in the bias and penalty additions; numpy keeps another operand's
+    # NaN in a vector than in a loop's tail, so those additions must run step by step
+    steps, dim = [(1, 2), (2, 3), (1, 5), (3, 6), (2, 1)], 5
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n_dev, n_rows = sum(g for g, _ in steps), sum(g * n for g, n in steps)
+        w = _special(rng, (n_dev, n_classes, dim + 1))
+        x = _special(rng, (n_rows, dim))
+        onehot = np.eye(n_classes)[rng.integers(0, n_classes, size=n_rows)]
+        with np.errstate(all="ignore"):
+            got = learning._pass_gradients(w, x, onehot, steps, l2)
+            g = r = 0
+            for devices, n in steps:
+                alone = learning._pass_gradients(
+                    w[g : g + devices].copy(), x[r : r + devices * n].copy(), onehot[r : r + devices * n].copy(), [(devices, n)], l2
+                )
+                assert np.array_equal(_bits(got[g : g + devices]), _bits(alone)), (seed, devices, n)
+                g, r = g + devices, r + devices * n
+
+
 def test_one_hot_subtraction_is_bitwise_subtracting_one_at_each_label():
     nan_payloads = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(float)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, *nan_payloads, 1.0, -1.0, 5e-324, 1e308])

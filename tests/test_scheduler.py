@@ -125,7 +125,7 @@ def _scalar_filter(devices, constraints, net, epochs):
             completion = expected_completion_time(dev, net, share, epochs)
         except UnreachableDeviceError:
             continue
-        if completion > constraints.completion_threshold:
+        if not completion <= constraints.completion_threshold:
             continue
         eligible.append(dev)
     return eligible
@@ -234,6 +234,19 @@ def test_filter_deadline_is_exact_to_the_ulp(epochs):
         assert dev in filter_eligible(fleet, at, net, epochs)
         under = replace(at, completion_threshold=math.nextafter(at.completion_threshold, 0.0))
         assert dev not in filter_eligible(fleet, under, net, epochs)
+
+
+@pytest.mark.parametrize("field", ["cpu_freq", "cycles"])
+def test_filter_drops_a_device_whose_completion_time_is_nan(field):
+    # nan is not > any deadline, so a `> deadline` check kept this device and its NaN share
+    # then failed the schedule; every deadline, inf included, drops it
+    broken, ok = make_device(device_id=0, **{field: math.nan}), make_device(device_id=1)
+    constraints = ConstraintConfig(min_battery=0.0)
+    for filt in (filter_eligible, _scalar_filter):
+        assert [d.id for d in filt([broken, ok], constraints, NET, 1)] == [1]
+    eligible = filter_eligible([broken, ok], constraints, NET, 1)
+    decision = schedule_pre_training(eligible, {0: 1.0, 1: 0.5}, k=2, weights=ScoreWeights(), constraints=constraints, net=replace(NET, allocation_strategy="equalize_completion"), epochs=1)
+    assert decision.selected == (1,) and decision.bandwidth_share == {1: NET.total_bandwidth}
 
 
 def test_filter_share_underflow_raises_only_once_a_device_passes_the_floors():
