@@ -37,7 +37,7 @@ from .domain import (
     ScheduleDecision,
     require_finite,
 )
-from .errors import ValidationError
+from .errors import EmptyDatasetError, ValidationError
 from .learning import (
     TrainConfig,
     aggregate_fedavg,  # not called here: perfbench/layers.py wraps this name
@@ -139,7 +139,6 @@ class SimulationState:
     cfg: SimulationConfig
     devices: dict
     model: ModelParams
-    train_pool: LocalDataset
     test_set: LocalDataset
     dataset_profiles: dict
     records: list = field(default_factory=list)
@@ -148,6 +147,11 @@ class SimulationState:
     def round(self) -> int:
         """The index of the next round: one per record."""
         return len(self.records)
+
+    @property
+    def train_pool(self) -> LocalDataset:
+        """The rows the fleet was partitioned from, split again from the config on each read: no run holds them."""
+        return _split(self.cfg)[1]
 
     @cached_property
     def dataset_indices(self) -> dict:
@@ -171,8 +175,8 @@ class SimulationResult:
         return sum(r.aborted for r in self.rounds)
 
 
-def build_state(cfg: SimulationConfig) -> SimulationState:
-    """Synthesize pool, held-out test set, partitions, fleet, and model."""
+def _split(cfg: SimulationConfig) -> tuple:
+    """The held-out test set and the training pool; a test set of no rows is refused before any round runs."""
     data = cfg.data
     pool = make_classification_pool(
         data.n_classes,
@@ -183,10 +187,15 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
     )
     perm = seeding.substream(cfg.master_seed, seeding.SPLIT).permutation(pool.n_samples)
     n_test = int(round(data.test_fraction * pool.n_samples))
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    test_set = LocalDataset._trusted(pool.features[test_idx], pool.labels[test_idx])
-    train_pool = LocalDataset._trusted(pool.features[train_idx], pool.labels[train_idx])
+    if n_test == 0:
+        raise EmptyDatasetError(f"test_fraction {data.test_fraction} holds out no row of a pool of {pool.n_samples}")
+    return tuple(LocalDataset._trusted(pool.features[idx], pool.labels[idx]) for idx in (perm[:n_test], perm[n_test:]))
 
+
+def build_state(cfg: SimulationConfig) -> SimulationState:
+    """Synthesize pool, held-out test set, partitions, fleet, and model."""
+    data = cfg.data
+    test_set, train_pool = _split(cfg)
     spec = replace(data.partition, n_devices=cfg.fleet.n_devices)
     parts = partition(train_pool, spec, seeding.derive_seed(cfg.master_seed, seeding.PARTITION))
     fleet = make_fleet(cfg.fleet, parts, cfg.master_seed)
@@ -194,43 +203,27 @@ def build_state(cfg: SimulationConfig) -> SimulationState:
 
     model = init_model(data.dim, data.n_classes, seeding.derive_seed(cfg.master_seed, seeding.MODEL_INIT))
     profiles = dict(zip(devices, dataset_diversity_indices([d.dataset for d in fleet], data.diversity, data.n_classes)))
-    return SimulationState(
-        cfg=cfg,
-        devices=devices,
-        model=model,
-        train_pool=train_pool,
-        test_set=test_set,
-        dataset_profiles=profiles,
-    )
+    return SimulationState(cfg=cfg, devices=devices, model=model, test_set=test_set, dataset_profiles=profiles)
 
 
 def dataset_report(device: DeviceProfile, profile: DatasetProfile) -> DeviceReport:
     """What a device tells the server before training: one scalar + battery."""
-    return model_report(device, profile.diversity_index)
-
-
-def model_report(device: DeviceProfile, index: float) -> DeviceReport:
-    """What a device tells the server after training: one scalar + battery."""
     return DeviceReport(
         device_id=device.id,
-        diversity_index=float(index),
+        diversity_index=float(profile.diversity_index),
         battery_level=float(device.battery_level),
     )
 
 
-def _train(state: SimulationState, devices: list) -> tuple:
-    """The devices' locally trained models from the current global model.
+def _train_request(state: SimulationState, devices: list) -> tuple:
+    """``train_many``'s arguments for the devices, in their order.
 
-    Returns each device's row by id, and the rows: ``train_many``'s one
-    weight stack, in the order of ``devices``.  A device trains with the
-    shuffles of ``derive_seed(master_seed, TRAINING, id, round)``; the
-    round's seeds are derived in one pass, and its devices train in lockstep.
+    Each trains from the global model with the shuffles of
+    ``derive_seed(master_seed, TRAINING, id, round)``, all derived in one pass.
     """
     cfg = state.cfg
-    ids = [dev.id for dev in devices]
-    seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, ids, state.round)
-    stack = train_many(state.model, [dev.dataset for dev in devices], cfg.train, list(seeds))
-    return dict(zip(ids, range(len(ids)))), stack
+    seeds = seeding.derived_seeds(cfg.master_seed, seeding.TRAINING, [dev.id for dev in devices], state.round)
+    return state.model, [dev.dataset for dev in devices], cfg.train, list(seeds)
 
 
 def _drain(dev: DeviceProfile, joules: float) -> float:
@@ -240,26 +233,23 @@ def _drain(dev: DeviceProfile, joules: float) -> float:
     return charged
 
 
-def _model_indices(state: SimulationState, trained: dict, stack) -> dict:
-    """Each trained device's reported model-diversity index, by id, capped at the round's outlier ceiling.
-
-    ``trained`` maps each id to its model's row of ``stack``, in row order.
-    """
+def _model_indices(state: SimulationState, eligible: list, stack) -> dict:
+    """Each eligible device's model-diversity index, by id, from its row of ``stack``, capped at the outlier ceiling."""
     data = state.cfg.data
     grouping = (data.n_classes, data.dim + 1)
     raw = model_diversity_indices(stack, state.model, grouping, data.diversity)
     if not raw:
         return {}
     ceiling = outlier_ceiling(raw, data.diversity.outlier_percentile)
-    return {did: float(min(v, ceiling)) for did, v in zip(trained, raw)}
+    return {dev.id: float(min(v, ceiling)) for dev, v in zip(eligible, raw)}
 
 
-def _schedule(state: SimulationState, eligible: list, trained: dict, stack) -> ScheduleDecision:
-    """Selection by the configured policy; ``trained`` and ``stack`` hold the post-training mode's local models."""
+def _schedule(state: SimulationState, eligible: list, stack) -> ScheduleDecision:
+    """Selection by the configured policy; in post-training mode row i of ``stack`` is ``eligible[i]``'s model."""
     cfg = state.cfg
     k, shared = cfg.k_per_round, (cfg.constraints, cfg.network, cfg.train.epochs)
     if cfg.policy == "diversity_post":
-        return schedule_post_training(eligible, _model_indices(state, trained, stack), k, *shared)
+        return schedule_post_training(eligible, _model_indices(state, eligible, stack), k, *shared)
     if cfg.policy == "diversity_pre":
         return schedule_pre_training(eligible, state.dataset_indices, k, cfg.weights, *shared)
     if cfg.policy == "age_fair":
@@ -270,30 +260,33 @@ def _schedule(state: SimulationState, eligible: list, trained: dict, stack) -> S
     return schedule_data_size_priority(eligible, k, seed, *shared, inverse=cfg.size_priority_inverse)
 
 
-def _round(state: SimulationState, train_first: bool) -> RoundRecord:
-    """One round of either mode: filter, select and train, upload, aggregate, evaluate.
+def _round_steps(state: SimulationState, train_first: bool):
+    """One round of either mode as a generator: fade, filter, select and train, upload, aggregate, evaluate.
 
-    With ``train_first`` (post-training mode) every eligible device trains
-    and pays its compute before the server decides; that energy stays
-    charged, and the compute times are all the round records, when the round
-    aborts.  Otherwise only the selected devices train, and each pays for its
-    training and its upload as one charge.
+    It yields ``train_many``'s arguments, resumes with their weight stack,
+    and yields the round's record.  With ``train_first`` (post-training mode)
+    every eligible device trains, in filter order, and pays its compute before
+    the server decides; that energy stays charged, and the compute times are
+    all the round records, when the round aborts.  Otherwise the participants
+    train, in ascending id, and each pays for its training and its upload as
+    one charge.
     """
     cfg, rnd = state.cfg, state.round
     epochs = cfg.train.epochs
     for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
         dev.channel = resample_channel(dev.channel, cfg.master_seed, did, rnd)
     eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
-    compute_times, energies, trained, stack = {}, {}, {}, None
+    compute_times, energies, trained, stack = {}, {}, eligible, None
     if train_first:
-        trained, stack = _train(state, eligible)
+        stack = yield _train_request(state, eligible)
         for dev in eligible:
             compute_times[dev.id] = compute_time(dev, dev.dataset.n_samples, epochs)
             energies[dev.id] = _drain(dev, energy_compute(dev, dev.dataset.n_samples, epochs))
-    decision = _schedule(state, eligible, trained, stack)
+    decision = _schedule(state, eligible, stack)
     participants = tuple(sorted(decision.selected)) if decision.round_valid else ()
     if not train_first:
-        trained, stack = _train(state, [state.devices[did] for did in participants])
+        trained = [state.devices[did] for did in participants]
+        stack = yield _train_request(state, trained)
 
     times = {} if participants else compute_times
     for did in participants:
@@ -307,8 +300,9 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         dev.participation_count += 1
         dev.last_participation_round = rnd
 
-    if participants:
-        chosen = [upload(ModelParams(stack[trained[did]]), state.devices[did].dataset, did) for did in participants]
+    if participants:  # the filter keeps the fleet's id order, so both modes upload in ascending id
+        kept = set(participants)
+        chosen = [upload(ModelParams(stack[i]), d.dataset, d.id) for i, d in enumerate(trained) if d.id in kept]
         state.model = aggregate_loss_weighted(chosen, cfg.qffl_q)  # FedAvg is q = 0, which its config enforces
     accuracy, loss = evaluate(state.model, state.test_set)
     record = RoundRecord(
@@ -321,7 +315,13 @@ def _round(state: SimulationState, train_first: bool) -> RoundRecord:
         device_energy=energies,
     )
     state.records.append(record)
-    return record
+    yield record
+
+
+def _round(state: SimulationState, train_first: bool) -> RoundRecord:
+    """One round of either mode, trained by ``train_many``."""
+    steps = _round_steps(state, train_first)
+    return steps.send(train_many(*next(steps)))
 
 
 def run_round_pre(state: SimulationState) -> RoundRecord:

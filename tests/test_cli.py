@@ -408,6 +408,17 @@ def test_main_run_logs_each_run_whose_training_pool_is_empty_and_goes_on(tmp_pat
     assert (tmp_path / "out" / "empty" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
 
 
+def test_main_run_logs_each_run_whose_test_split_is_empty_and_goes_on(tmp_path, caplog):
+    # 40 pool rows, 0.01 of them held out: round(0.4) = 0 test rows, refused before any round runs
+    text = "[data]\nn_classes = 2\nsamples_per_class = 20\ntest_fraction = 0.01\n"
+    text += "[experiment]\nname = empty\nseeds = 0\nschedulers = diversity_pre, random\n"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    failure = "failed: empty_dataset: test_fraction 0.01 holds out no row of a pool of 40"
+    assert [r.getMessage() for r in caplog.records] == [f"run {s}/seed 0 {failure}" for s in ("diversity_pre", "random")]
+    assert (tmp_path / "out" / "empty" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "[experiment]\nrounds_max = 3\n")
     assert main(["run", bad]) == 2

@@ -85,7 +85,7 @@ def test_derived_facts_cannot_be_set():
     for construct in constructors:
         with pytest.raises(TypeError):
             construct()
-    state = SimulationState(None, {}, ModelParams(np.zeros(2)), None, None, {})
+    state = SimulationState(None, {}, ModelParams(np.zeros(2)), None, {})
     assert state.round == 0
     with pytest.raises(AttributeError):
         state.round = 3

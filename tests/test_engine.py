@@ -13,25 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feelsim.engine
+import oracles
 from feelsim import seeding
-from feelsim.datagen import FleetSpec, PartitionSpec
+from feelsim.datagen import FleetSpec, PartitionSpec, make_classification_pool
 from feelsim.diversity import DiversityConfig, dataset_diversity_index
 from feelsim.engine import (
     AGGREGATIONS,
     POLICIES,
     DataConfig,
     SimulationConfig,
+    SimulationResult,
+    _round_steps,
     build_state,
     dataset_report,
-    model_report,
     run_round_post,
     run_round_pre,
     run_simulation,
 )
-from feelsim.errors import ValidationError
-from feelsim.learning import TrainConfig, local_train
+from feelsim.errors import EmptyDatasetError, ValidationError
+from feelsim.learning import TrainConfig, local_train, train_many
 from feelsim.network import ALLOCATION_STRATEGIES, NetworkConfig
-from feelsim.scheduler import ConstraintConfig, jain_fairness
+from feelsim.scheduler import ConstraintConfig, filter_eligible, jain_fairness
+from test_corpus import CORPUS, DIGESTS
+from test_golden import CONFIGS, GOLDEN, run_digest
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -96,6 +100,27 @@ def test_build_state_datasets_are_read_only():
                 arr[:1] = 0
 
 
+def test_no_state_holds_the_training_pool():
+    # read from the config again, it holds the rows of the split the fleet was partitioned from, bit for bit
+    state = build_state(small_config())
+    assert "train_pool" not in vars(state)
+    pool = make_classification_pool(3, 4, 60, 3.0, seeding.derive_seed(11, seeding.POOL))
+    perm = seeding.substream(11, seeding.SPLIT).permutation(180)
+    for split, rows in ((state.test_set, perm[:36]), (state.train_pool, perm[36:])):
+        assert split.features.tobytes() == pool.features[rows].tobytes()
+        assert np.array_equal(split.labels, pool.labels[rows])
+
+
+def test_build_state_refuses_an_empty_test_split(monkeypatch):
+    # 40 pool rows at 0.01 held out: round(0.4) = 0 test rows, which evaluate would refuse only after a round
+    cfg = small_config(data=DataConfig(n_classes=2, samples_per_class=20, test_fraction=0.01))
+    monkeypatch.setattr(feelsim.engine, "partition", None)  # refused before the pool is partitioned
+    with pytest.raises(EmptyDatasetError, match="test_fraction 0.01 holds out no row of a pool of 40"):
+        build_state(cfg)
+    with pytest.raises(EmptyDatasetError):
+        run_simulation(cfg)
+
+
 def test_states_share_no_device_profile():
     # profiles evolve in place, so each state must own its fleet
     a = build_state(small_config())
@@ -120,8 +145,6 @@ def test_reports_expose_one_scalar_plus_battery():
     assert rep.device_id == 0
     assert rep.diversity_index == pytest.approx(state.dataset_profiles[0].diversity_index)
     assert rep.battery_level == dev.battery_level
-    rep2 = model_report(dev, 0.42)
-    assert rep2.diversity_index == 0.42
 
 
 # ----------------------------------------------------------------- pre mode
@@ -357,6 +380,80 @@ def test_mode_property_follows_policy():
     assert small_config(policy="diversity_post").mode == "post_training"
     for policy in ("diversity_pre", "random", "data_size", "age_fair"):
         assert small_config(policy=policy).mode == "pre_training"
+
+
+# ------------------------------------------------------------- round steps
+
+
+def _assert_trains(request, cfg, model, rnd, devices):
+    """``request`` trains ``devices`` in that order from ``model``, each with its shuffles for round ``rnd``."""
+    got_model, datasets, train, seeds = request
+    assert got_model is model and train is cfg.train
+    assert len(datasets) == len(seeds) == len(devices)
+    assert all(data is dev.dataset for data, dev in zip(datasets, devices))
+    for seed, dev in zip(seeds, devices):
+        want = np.random.default_rng(seeding.derive_seed(cfg.master_seed, seeding.TRAINING, dev.id, rnd))
+        assert np.random.default_rng(seed).bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("min_participants", [1, 7], ids=["selects", "aborts"])  # 7 > the fleet's 6 devices
+@pytest.mark.parametrize("policy", ["diversity_pre", "diversity_post"])
+def test_each_round_yields_one_training_request_then_its_record(policy, min_participants):
+    # post mode trains every eligible device in filter order before it selects; pre mode trains its
+    # participants in ascending id after it selects, and no device when the round aborts
+    constraints = ConstraintConfig(min_battery=0.0, min_participants=min_participants)
+    cfg = small_config(policy=policy, k_per_round=2, constraints=constraints)
+    state = build_state(cfg)
+    for rnd in range(cfg.rounds_max):
+        model, steps = state.model, _round_steps(state, cfg.mode == "post_training")
+        request = next(steps)
+        eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, cfg.train.epochs)
+        record = steps.send(train_many(*request))
+        with pytest.raises(StopIteration):
+            next(steps)
+        assert type(request) is tuple and record is state.records[-1]
+        assert record.aborted == (min_participants == 7)
+        trained = eligible if cfg.mode == "post_training" else [state.devices[did] for did in record.participants]
+        assert [dev.id for dev in trained] == sorted(dev.id for dev in trained)
+        assert bool(trained) != (record.aborted and cfg.mode == "pre_training")
+        _assert_trains(request, cfg, model, rnd, trained)
+
+
+def _train_alone(model, datasets, cfg, seeds):
+    """``train_many``'s stack, one device at a time by the plain SGD loop."""
+    rows = [
+        oracles.reference_local_train(
+            model.weights, data.features, data.labels, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.l2_reg, seed
+        )[0]
+        for data, seed in zip(datasets, seeds)
+    ]
+    return np.array(rows).reshape(len(rows), model.weights.size)
+
+
+def _run_by_steps(cfg) -> SimulationResult:
+    """``run_simulation`` with each round's training request answered by ``_train_alone``."""
+    state = build_state(cfg)
+    rounds_to_target = None
+    for _ in range(cfg.rounds_max):
+        steps = _round_steps(state, cfg.mode == "post_training")
+        record = steps.send(_train_alone(*next(steps)))
+        if cfg.target_accuracy is not None and record.global_accuracy >= cfg.target_accuracy:
+            rounds_to_target = state.round
+            break
+    return SimulationResult(tuple(state.records), state.model, rounds_to_target)
+
+
+# every golden run, and the corpus runs of batch size 1 and of NaN weights; the corpus fleets of
+# 255 to 600 devices match too, but take 0.4 s
+PINNED = {f"{c}-{p}": (lambda c=c, p=p: CONFIGS[c](p), GOLDEN[c, p]) for c, p in GOLDEN}
+PINNED |= {name: (CORPUS[name], DIGESTS[name]) for name in ("post_batch_1", "pre_batch_1", "post_diverging_fedavg")}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rounds_trained_by_the_plain_sgd_loop_give_the_pinned_digest(name):
+    config, digest = PINNED[name]
+    with np.errstate(all="ignore"):  # the diverging run overflows on purpose
+        assert run_digest(_run_by_steps(config())) == digest
 
 
 # ------------------------------------------------------------- full runs
