@@ -219,6 +219,7 @@ def main(argv=None) -> int:
         seeds = PARSERS[list[int]](args.seeds) if args.seeds is not None else None
         given = {"output_dir": args.out, "seeds": seeds, "schedulers": args.scheduler}
         spec = replace(spec, **{field: value for field, value in given.items() if value is not None})
+        Path(spec.output_dir, spec.name).mkdir(parents=True, exist_ok=True)  # an output path that cannot be a directory is bad input
     except (FeelsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

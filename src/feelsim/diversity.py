@@ -9,7 +9,8 @@ are).  Uncertainty is task specific:
   ``dataset_diversity_indices``, over one histogram with a row per device),
 * timeseries      - sample entropy at tolerance r = tolerance_scale * std
   (``entropy_tolerance``; approximate entropy is available for comparison),
-* clustering      - mean pairwise dissimilarity of the feature rows.
+* clustering      - mean pairwise euclidean distance of the feature rows
+  (of 64 sampled rows when there are more).
 
 Model diversity compares a locally trained parameter vector against the
 global model: a dissimilarity term (how far the local model moved) plus a
@@ -212,6 +213,10 @@ class DissimilarityMetric:
         require_finite(self)
 
 
+_COSINE = DissimilarityMetric("cosine")
+_EUCLIDEAN = DissimilarityMetric("euclidean")
+
+
 def _pairwise(a: np.ndarray, b: np.ndarray, metric: DissimilarityMetric) -> np.ndarray:
     """Dissimilarity between row i of ``a`` and row i of ``b``."""
     if metric.kind == "euclidean":
@@ -253,6 +258,8 @@ def mean_pairwise_dissimilarity(
 # --------------------------------------------------------------------------
 # combined dataset diversity
 
+_UNCERTAINTY_CAP = 2.5  # the normalizer of the unbounded measures: sample entropy and mean pairwise distance
+
 
 @dataclass(frozen=True)
 class DiversityConfig:
@@ -261,9 +268,6 @@ class DiversityConfig:
     classification_measure: str = "shannon"  # or "gini_simpson"
     embedding_m: int = 2
     tolerance_scale: float = 0.2  # tolerance r as a multiple of the series std
-    uncertainty_cap: float = 2.5  # normalizer for unbounded measures
-    metric: DissimilarityMetric = DissimilarityMetric("euclidean")
-    sample_size: int = 64
     model_dissimilarity_weight: float = 0.7
     model_redundancy_weight: float = 0.3
     redundancy_cap: float = 1.0
@@ -272,7 +276,7 @@ class DiversityConfig:
     def __post_init__(self):
         if self.classification_measure not in ("shannon", "gini_simpson"):
             raise ValidationError("unknown_measure", self.classification_measure)
-        if self.uncertainty_cap <= 0 or self.redundancy_cap <= 0:
+        if self.redundancy_cap <= 0:
             raise ValidationError("nonpositive_cap")
         if self.tolerance_scale <= 0:
             raise ValidationError("nonpositive_tolerance_scale")
@@ -299,8 +303,8 @@ def dataset_diversity_index(
     The normalized uncertainty u_hat lies in [0, 1]: entropy is divided by
     ln(k) over the global class count k = ``n_classes``, which a
     classification dataset must pass (so locally missing classes depress
-    it), Gini-Simpson by 1 - 1/k, and the unbounded measures by the
-    configured cap.  The index is u_hat * ln(1 + n_samples), so it grows
+    it), Gini-Simpson by 1 - 1/k, and the unbounded measures by the cap
+    2.5.  The index is u_hat * ln(1 + n_samples), so it grows
     with data volume but only as fast as the data is actually mixed.  A
     classification dataset is ``dataset_diversity_indices`` of one dataset.
 
@@ -318,13 +322,13 @@ def dataset_diversity_index(
         series = dataset.features.ravel()
         try:
             uncertainty = sample_entropy(series, cfg.embedding_m, entropy_tolerance(series, cfg.tolerance_scale))
-            u_hat = uncertainty / cfg.uncertainty_cap
+            u_hat = uncertainty / _UNCERTAINTY_CAP
         except NoTemplateMatchesError:
             uncertainty = math.inf
             u_hat = 1.0
     else:  # clustering
-        uncertainty = mean_pairwise_dissimilarity(dataset.features, cfg.metric, cfg.sample_size, seed)
-        u_hat = uncertainty / cfg.uncertainty_cap
+        uncertainty = mean_pairwise_dissimilarity(dataset.features, _EUCLIDEAN, seed=seed)
+        u_hat = uncertainty / _UNCERTAINTY_CAP
     return _profile(uncertainty, u_hat, n)
 
 
@@ -363,9 +367,6 @@ def dataset_diversity_indices(datasets: Sequence[LocalDataset], cfg: DiversityCo
 # model diversity
 
 
-_COSINE = DissimilarityMetric("cosine")
-
-
 def model_global_dissimilarity(
     local: ModelParams, global_model: ModelParams, metric: DissimilarityMetric
 ) -> float:
@@ -376,30 +377,32 @@ def model_global_dissimilarity(
 
 
 def parameter_redundancy(params: ModelParams, grouping: tuple) -> float:
-    """L2,1 norm of pairwise group differences, per pair.
+    """L2,1 norm of pairwise group differences, per pair: ``_redundancies`` of one model."""
+    return float(_redundancies(params.weights[None], grouping)[0])
 
-    The flat vector is viewed as ``group_count`` rows of ``group_size``; for
-    every unordered pair of rows the difference vector is one row of a
-    matrix D, and the result is sum of row euclidean norms of D divided by
-    the number of rows.  Zero when all groups are identical; grows as groups
-    spread apart.
+
+def _redundancies(rows: np.ndarray, grouping: tuple) -> np.ndarray:
+    """Each row's L2,1 norm of pairwise group differences, per pair.
+
+    A row is viewed as ``group_count`` groups of ``group_size``; each
+    unordered pair of groups gives one row of a difference matrix D, and the
+    row's value is the L2,1 norm of D over D's row count: zero when all
+    groups are identical, growing as they spread apart.  Raises
+    ``ShapeMismatchError`` unless ``grouping`` tiles a row.  Every sum runs
+    along the contiguous last axis, so each value is bit for bit its row's alone.
     """
-    group_count, group_size = _tiling(grouping, params.weights.size)
-    if group_count == 1:
-        return 0.0
-    groups = params.weights.reshape(group_count, group_size)
-    i, j = np.triu_indices(group_count, k=1)
-    diffs = groups[i] - groups[j]
-    # the row norms np.linalg.norm(diffs, axis=1) computes, without its wrapper
-    return float(np.sqrt(np.add.reduce(diffs * diffs, axis=1)).sum() / diffs.shape[0])
-
-
-def _tiling(grouping: tuple, size: int) -> tuple:
-    """``grouping`` as (group_count, group_size); raises unless it tiles a vector of ``size``."""
     group_count, group_size = grouping
-    if group_count < 1 or group_size < 1 or group_count * group_size != size:
-        raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {size}")
-    return group_count, group_size
+    if group_count < 1 or group_size < 1 or group_count * group_size != rows.shape[1]:
+        raise ShapeMismatchError(f"grouping {grouping} does not tile a vector of length {rows.shape[1]}")
+    if group_count == 1:
+        return np.zeros(len(rows))
+    groups = rows.reshape(len(rows), group_count, group_size)
+    norms = []  # (rows, pairs) norms in np.triu_indices order, the pairs of one first group at a time
+    for first in range(group_count - 1):
+        diffs = groups[:, first, None] - groups[:, first + 1 :]
+        diffs *= diffs
+        norms.append(np.sqrt(np.add.reduce(diffs, axis=-1)))
+    return np.add.reduce(np.concatenate(norms, axis=1), axis=-1) / (group_count * (group_count - 1) // 2)
 
 
 def model_diversity_index(local: ModelParams, global_model: ModelParams, grouping: tuple, cfg: DiversityConfig) -> float:
@@ -431,18 +434,7 @@ def model_diversity_indices(stack: np.ndarray, global_model: ModelParams, groupi
     if not len(rows):
         return []
     dissim = _pairwise(rows, v[None, :], _COSINE)
-
-    group_count, group_size = _tiling(grouping, v.size)
-    if group_count == 1:
-        red = np.zeros(len(rows))
-    else:
-        groups = rows.reshape(len(rows), group_count, group_size)
-        norms = []  # (models, pairs) norms in np.triu_indices order, the pairs of one first group at a time
-        for first in range(group_count - 1):
-            diffs = groups[:, first, None] - groups[:, first + 1 :]
-            diffs *= diffs
-            norms.append(np.sqrt(np.add.reduce(diffs, axis=-1)))
-        red = np.add.reduce(np.concatenate(norms, axis=1), axis=-1) / (group_count * (group_count - 1) // 2)
+    red = _redundancies(rows, grouping)
     w_div, w_red, cap = cfg.model_dissimilarity_weight, cfg.model_redundancy_weight, cfg.redundancy_cap
     # the blend in Python floats, as a lone model's: Python and numpy keep different NaNs of a NaN + NaN
     return [float(w_div * d + w_red * min(r / cap, 1.0)) for d, r in zip(dissim.tolist(), red.tolist())]

@@ -107,9 +107,12 @@ def _cross_entropy(logits: np.ndarray, z: np.ndarray, labels: np.ndarray) -> flo
     return float(np.add.reduce(losses) / losses.shape[0])  # ndarray.mean's sum and division, without its wrapper
 
 
-def _penalized(ce: float, l2_reg: float, w_mat: np.ndarray) -> float:
-    # kept even at l2_reg = 0: 0 * inf is NaN, which marks a diverged model
-    return ce + 0.5 * l2_reg * float((w_mat * w_mat).sum())
+def _penalized_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, l2_reg: float) -> float:
+    """Mean softmax cross-entropy plus 0.5 * l2_reg * ||W||^2 over the class weights, never the biases."""
+    w_mat, bias = _unpack(weights, features.shape[1])
+    logits, z = _softmax(features, w_mat, bias)
+    # the penalty is kept even at l2_reg = 0: 0 * inf is NaN, which marks a diverged model
+    return _cross_entropy(logits, z, labels) + 0.5 * l2_reg * float((w_mat * w_mat).sum())
 
 
 def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: list, l2_reg: float) -> np.ndarray:
@@ -167,11 +170,8 @@ def loss_and_grad(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
     The penalty covers class weights only, never biases.  Returns
     (loss, flat gradient).  The gradient is the one every SGD step takes.
     """
-    dim = features.shape[1]
-    w_mat, bias = _unpack(weights, dim)
-    logits, z = _softmax(features, w_mat, bias)
-    loss = _penalized(_cross_entropy(logits, z, labels), l2_reg, w_mat)
-    n = features.shape[0]
+    loss = _penalized_loss(weights, features, labels, l2_reg)
+    n, dim = features.shape
     blocks = weights.reshape(1, -1, dim + 1)
     onehot = np.eye(blocks.shape[1])[labels]
     return loss, _pass_gradients(blocks, features, onehot, [(1, n)], l2_reg).ravel()
@@ -283,10 +283,7 @@ def upload(params: ModelParams, data: LocalDataset, device_id: int) -> Update:
     data (plus the penalty term at l2 = 0, which turns a diverged model's
     loss into NaN), which is what loss-weighted aggregation consumes.
     """
-    w_mat, bias = _unpack(params.weights, data.features.shape[1])
-    logits, z = _softmax(data.features, w_mat, bias)
-    final_loss = _penalized(_cross_entropy(logits, z, data.labels), 0.0, w_mat)
-    return Update(params, data.n_samples, final_loss, device_id)
+    return Update(params, data.n_samples, _penalized_loss(params.weights, data.features, data.labels, 0.0), device_id)
 
 
 def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:

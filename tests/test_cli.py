@@ -456,6 +456,19 @@ def test_main_rejects_bad_sweep_before_running(tmp_path, capsys, extra, replaced
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "under_a_file"])
+def test_main_rejects_an_out_that_cannot_be_a_directory_before_running(tmp_path, capsys, caplog, out):
+    # an existing file, or a path below one: one error line and exit 2, as for any bad input, not a traceback
+    (tmp_path / "taken").write_text("not a directory\n")
+    path = tmp_path / "taken" if out == "file" else tmp_path / "taken" / "below"
+    with caplog.at_level(logging.INFO):
+        assert main(["run", _write(tmp_path, SMALL_RUN), "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out and not caplog.records  # no run started, none was logged
+    assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("where", ["command_line", "file"])
 def test_main_negative_seed_exit_code(tmp_path, capsys, where):
     if where == "file":

@@ -13,6 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import oracles
 from feelsim.diversity import (
+    _EUCLIDEAN,
+    _UNCERTAINTY_CAP,
     DissimilarityMetric,
     DiversityConfig,
     _template_counts,
@@ -443,9 +445,8 @@ def test_dataset_index_clustering_uses_pairwise():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(30, 3))
     ds = LocalDataset("clustering", pts)
-    cfg = DiversityConfig(uncertainty_cap=10.0)
-    profile = dataset_diversity_index(ds, cfg, seed=4)
-    want = mean_pairwise_dissimilarity(pts, cfg.metric, cfg.sample_size, seed=4) / 10.0 * math.log(31)
+    profile = dataset_diversity_index(ds, DiversityConfig(), seed=4)
+    want = mean_pairwise_dissimilarity(pts, _EUCLIDEAN, seed=4) / _UNCERTAINTY_CAP * math.log(31)
     assert profile.diversity_index == pytest.approx(want, rel=1e-12)
 
 
@@ -625,7 +626,7 @@ def test_model_diversity_indices_keep_their_checks():
         model_diversity_indices(stack, ref, (4, 2), cfg)
 
 
-@pytest.mark.parametrize("cap", ["uncertainty_cap", "redundancy_cap"])
+@pytest.mark.parametrize("cap", ["redundancy_cap"])
 def test_diversity_config_caps_must_be_positive(cap):
     for value in (0.0, -1.0):
         with pytest.raises(ValidationError, match="nonpositive_cap"):

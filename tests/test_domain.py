@@ -94,13 +94,12 @@ def test_derived_facts_cannot_be_set():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: DiversityConfig(uncertainty_cap=math.inf),
         lambda: DiversityConfig(tolerance_scale=math.inf),
         lambda: DissimilarityMetric("heat_kernel", sigma=math.inf),
         lambda: ConstraintConfig(completion_threshold=math.nan),
         lambda: ConstraintConfig(min_snr_db=math.nan),
     ],
-    ids=["uncertainty_cap", "tolerance_scale", "sigma", "nan_completion_threshold", "nan_min_snr_db"],
+    ids=["tolerance_scale", "sigma", "nan_completion_threshold", "nan_min_snr_db"],
 )
 def test_config_floats_must_be_finite(build):
     # inf and nan pass a <= 0 check; only the two unbounded constraints may be infinite, and never nan

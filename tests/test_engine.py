@@ -642,3 +642,44 @@ def test_round_invariants(cfg):
             assert max(record.device_times.values()) <= cfg.constraints.completion_threshold * (1 + 1e-9)
         elif cfg.mode == "pre_training":
             assert record.total_energy_j == 0.0 and record.duration_s == 0.0
+
+
+# ---------------------------------------------------- metamorphic relations
+
+
+@settings(max_examples=15, deadline=None)
+@given(invariant_configs(), st.integers(-3, 3))
+def test_scaling_units_by_a_power_of_two_keeps_every_bit_of_a_run(cfg, j):
+    # Multiplying by 2^j changes a float's exponent alone, so it commutes with
+    # every rounding while no value overflows or underflows. Every scaled
+    # quantity (a time, rate, share, charge or capacity) is a product or
+    # quotient of a few config values within 1e-9 to 2e9. A battery that a
+    # charge empties keeps zero or a rounding residue of about 1e-16 of its
+    # level, and a run of 4 rounds charges it at most 4 times, so no nonzero
+    # value lies outside 1e-70 to 1e40: far inside the normal range
+    # (2.2e-308 to 1.8e308) even after a factor of 2^±3.
+    scale, fleet, net = 2.0**j, cfg.fleet, cfg.network
+    base = run_simulation(cfg)
+    # band: the shares, the payload and every rate grow together, so no time moves
+    band = replace(net, total_bandwidth=net.total_bandwidth * scale, model_size_bits=net.model_size_bits * scale)
+    assert run_digest(run_simulation(replace(cfg, network=band))) == run_digest(base)
+    # compute: cycles and clock grow together, and a cycle costs that much less
+    compute = replace(
+        fleet,
+        cpu_freq_min=fleet.cpu_freq_min * scale,
+        cpu_freq_max=fleet.cpu_freq_max * scale,
+        cycles_per_sample_min=fleet.cycles_per_sample_min * scale,
+        cycles_per_sample_max=fleet.cycles_per_sample_max * scale,
+        energy_per_cycle=fleet.energy_per_cycle / scale,
+    )
+    assert run_digest(run_simulation(replace(cfg, fleet=compute))) == run_digest(base)
+    # energy: every charge and every capacity grow together, so each battery level keeps its bits
+    energy = replace(
+        fleet,
+        energy_per_cycle=fleet.energy_per_cycle * scale,
+        tx_power_min=fleet.tx_power_min * scale,
+        tx_power_max=fleet.tx_power_max * scale,
+        capacity_joules=fleet.capacity_joules * scale,
+    )
+    charged = [replace(r, device_energy={did: e * scale for did, e in r.device_energy.items()}) for r in base.rounds]
+    assert run_digest(run_simulation(replace(cfg, fleet=energy))) == run_digest(replace(base, rounds=tuple(charged)))
