@@ -10,12 +10,13 @@ in the same slot take one stacked step, and an epoch's ragged steps run as
 one pass of the gradient kernel.  Every device ends with the bits it gets
 training alone (a diverged device's NaN sign aside, see ``train_many``).
 Training returns models only, as the rows of one stack.  A device's final
-loss on its own data goes with its upload (``upload``), so it is computed
-only for the devices whose update is aggregated; ``local_train`` is both
-steps for one device.  Aggregation is
-sample-count weighted averaging, with a loss-reweighted variant that favors
-poorly served devices; the reduction always runs in ascending device id so
-results are bit-deterministic regardless of caller ordering.
+loss on its own data goes with its upload (``upload``), and is computed the
+first time it is read; ``local_train`` is both steps for one device.
+Aggregation is sample-count weighted averaging (FedAvg), with a q-FFL
+loss-reweighted variant that favors poorly served devices.  Only that
+variant at q > 0 reads a loss, so FedAvg computes none.  The reduction
+always runs in ascending device id so results are bit-deterministic
+regardless of caller ordering.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,12 +70,28 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class Update:
-    """One device's contribution to a round."""
+    """One device's contribution to a round.
+
+    ``final_loss`` is the model's loss on the device's data.  An update made
+    by ``upload`` computes it the first time it is read.
+    """
 
     params: ModelParams
     n_samples: int
     final_loss: float
     device_id: int
+
+
+class _Upload(Update):
+    """An ``Update`` whose ``final_loss`` is computed from ``data`` on first read, then kept."""
+
+    def __init__(self, params: ModelParams, data: LocalDataset, device_id: int):
+        # through __dict__, as cached_property stores final_loss: the frozen __setattr__ refuses fields
+        self.__dict__.update(params=params, n_samples=data.n_samples, device_id=device_id, data=data)
+
+    @cached_property
+    def final_loss(self) -> float:
+        return _penalized_loss(self.params.weights, self.data.features, self.data.labels, 0.0)
 
 
 def init_model(dim: int, n_classes: int, seed: int) -> ModelParams:
@@ -281,9 +299,11 @@ def upload(params: ModelParams, data: LocalDataset, device_id: int) -> Update:
 
     ``final_loss`` is the mean cross-entropy of ``params`` over the local
     data (plus the penalty term at l2 = 0, which turns a diverged model's
-    loss into NaN), which is what loss-weighted aggregation consumes.
+    loss into NaN), which is what loss-weighted aggregation consumes.  It is
+    computed the first time it is read, and kept: only aggregation at q > 0
+    reads it, so a FedAvg round computes no loss.
     """
-    return Update(params, data.n_samples, _penalized_loss(params.weights, data.features, data.labels, 0.0), device_id)
+    return _Upload(params, data, device_id)
 
 
 def _shuffled_rows(sizes: np.ndarray, seeds: list, epochs: int) -> np.ndarray:
@@ -363,12 +383,27 @@ def aggregate_fedavg(updates: list) -> ModelParams:
     return aggregate_loss_weighted(updates, 0.0)
 
 
+def _tilted_weight(u: Update, q: float) -> float:
+    """``u``'s aggregation weight n * loss ** q at q > 0; one past the float range raises ``DegenerateWeightsError``."""
+    loss = u.final_loss
+    try:
+        weight = u.n_samples * loss**q
+    except OverflowError:  # a float power past the float range raises; a product past it is inf
+        weight = math.inf
+    if weight == math.inf:
+        raise DegenerateWeightsError(f"device {u.device_id}'s aggregation weight {u.n_samples} * {loss!r} ** {q} overflows")
+    return weight
+
+
 def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
     """Aggregation with weights proportional to n_k * loss_k^q, reduced in
     ascending device id.
 
     q > 0 tilts the average toward devices the current model serves worst;
-    q = 0 is plain sample-count averaging (FedAvg).
+    q = 0 is plain sample-count averaging (FedAvg), which reads no update's
+    ``final_loss``.  A weight past the float range raises
+    ``DegenerateWeightsError`` naming its device, and weights whose sum is
+    past it, zero or NaN raise it too.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -379,10 +414,17 @@ def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
     for u in ordered:
         if u.params.weights.size != length:
             raise ShapeMismatchError(f"update from device {u.device_id} has length {u.params.weights.size}")
-    raw = np.array([u.n_samples * u.final_loss**q for u in ordered], dtype=float)
-    total = raw.sum()
+    if q:
+        raw = np.array([_tilted_weight(u, q) for u in ordered])
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            total = raw.sum()
+    else:  # n * loss ** 0.0 is float(n) for every loss, NaN and ±inf included, so no loss is read
+        raw = np.array([float(u.n_samples) for u in ordered])
+        total = raw.sum()
     if not total > 0:
         raise DegenerateWeightsError("all aggregation weights vanished")
+    if total == math.inf:
+        raise DegenerateWeightsError(f"the aggregation weights' sum overflows at q = {q}")
     acc = np.zeros(length)
     for weight, u in zip(raw / total, ordered):
         acc += weight * u.params.weights

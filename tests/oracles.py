@@ -151,6 +151,11 @@ def softmax_ce_loss(weights, features, labels, n_classes: int, l2_reg: float) ->
     return loss + 0.5 * l2_reg * penalty
 
 
+def qffl_weights(sizes, losses, q: float) -> list:
+    """q-FFL's unnormalized aggregation weights: n * loss ** q per device."""
+    return [n * loss**q for n, loss in zip(sizes, losses)]
+
+
 def central_difference_gradient(f, w, eps: float = 1e-6):
     grad = []
     w = list(w)

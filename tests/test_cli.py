@@ -419,6 +419,20 @@ def test_main_run_logs_each_run_whose_test_split_is_empty_and_goes_on(tmp_path, 
     assert (tmp_path / "out" / "empty" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
 
 
+def test_main_run_logs_each_run_whose_aggregation_weight_overflows_and_goes_on(tmp_path, caplog):
+    # a learning rate of 1e6 drives the uploads' losses far above 1, and loss ** 50 leaves the float range
+    text = "[train]\nlearning_rate = 1e6\n[scheduler]\naggregation = loss_weighted\nq = 50\n"
+    text += "[experiment]\nname = ovf\nseeds = 0\nrounds_max = 5\nschedulers = diversity_pre, random\n"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    for message, scheduler in zip(messages, ("diversity_pre", "random")):
+        assert message.startswith(f"run {scheduler}/seed 0 failed: degenerate_weights: device ")
+        assert "overflows" in message
+    assert (tmp_path / "out" / "ovf" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "[experiment]\nrounds_max = 3\n")
     assert main(["run", bad]) == 2

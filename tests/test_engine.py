@@ -336,6 +336,25 @@ def test_post_rounds_compute_a_final_loss_only_for_the_uploads(monkeypatch, over
     assert len(uploaded) < len(trained)
 
 
+@pytest.mark.parametrize("policy", ["diversity_pre", "diversity_post"])
+def test_only_q_weighted_aggregation_computes_a_final_loss(monkeypatch, policy):
+    calls = []
+    penalized_loss = feelsim.learning._penalized_loss
+
+    def counted(*args):
+        calls.append(args)
+        return penalized_loss(*args)
+
+    monkeypatch.setattr(feelsim.learning, "_penalized_loss", counted)
+    fedavg = CONFIGS["fedavg"](policy)
+    # loss weighting at q = 0 is FedAvg: the same run, bit for bit
+    for cfg in (fedavg, replace(fedavg, aggregation="loss_weighted", qffl_q=0.0)):
+        assert run_digest(run_simulation(cfg)) == GOLDEN["fedavg", policy]
+    assert calls == []
+    result = run_simulation(small_config(policy=policy, aggregation="loss_weighted", qffl_q=2.0))
+    assert len(calls) == sum(len(r.participants) for r in result.rounds) > 0
+
+
 def test_post_round_aggregates_each_devices_local_train_loss(monkeypatch):
     cfg = small_config(policy="diversity_post", k_per_round=2, aggregation="loss_weighted", qffl_q=2.0)
     aggregated = []

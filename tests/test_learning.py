@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -657,6 +657,67 @@ def test_loss_weighted_degenerate_weights():
     updates = [_update(0, [1.0], 10, loss=0.0), _update(1, [2.0], 10, loss=0.0)]
     with pytest.raises(DegenerateWeightsError):
         aggregate_loss_weighted(updates, q=2.0)
+
+
+@pytest.mark.parametrize(
+    "updates, message",
+    [
+        # 1e200 ** 2 leaves the float range, where Python's float power raises OverflowError
+        ([Update(ModelParams(np.array([1.0])), 1, 1e200, 0), Update(ModelParams(np.array([3.0])), 3, 1.0, 1)], "device 0's"),
+        # 1e154 ** 2 is finite, and 3 times it is inf
+        ([_update(0, [1.0], 1), _update(1, [3.0], 3, loss=1e154)], "device 1's"),
+        # each weight is finite, and their sum is not
+        ([_update(0, [1.0], 1, loss=1e154), _update(1, [3.0], 1, loss=1.3e154)], "sum"),
+    ],
+)
+def test_loss_weighted_refuses_a_weight_that_overflows(updates, message):
+    with pytest.raises(DegenerateWeightsError, match=message):
+        aggregate_loss_weighted(updates, q=2.0)
+
+
+# NaNs of both signs, both infinities, both zeros, the least subnormal and a loss near the float maximum
+ODD_LOSSES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308]
+
+
+def test_q_zero_weights_are_bitwise_n_times_loss_to_the_zeroth():
+    sizes = [1, 7, 3, 2**40, 5, 12, 1, 9]
+    updates = [Update(ModelParams(np.eye(len(sizes))[i]), n, loss, i) for i, (n, loss) in enumerate(zip(sizes, ODD_LOSSES))]
+    want = np.array(oracles.qffl_weights(sizes, ODD_LOSSES, 0.0))
+    # unit-vector models: the merged model is the weights over their sum, bit for bit
+    merged = aggregate_loss_weighted(updates, 0.0)
+    assert np.array_equal(_bits(merged.weights), _bits(want / want.sum()))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e154, 1e300, math.nan])  # 1e154 and above: ||W||^2 overflows, and 0 * inf is NaN
+def test_upload_computes_its_loss_on_first_read_bitwise_the_eager_loss(monkeypatch, scale):
+    weights, features, labels = _sgd_problem(20, 3, 4, seed=7)
+    params, data = ModelParams(weights * scale), _dataset(features, labels)
+    calls = []
+    penalized_loss = learning._penalized_loss
+
+    def counted(*args):
+        calls.append(args)
+        return penalized_loss(*args)
+
+    monkeypatch.setattr(learning, "_penalized_loss", counted)
+    with np.errstate(all="ignore"):
+        eager = penalized_loss(params.weights, features, labels, 0.0)
+        upd = upload(params, data, 3)
+        assert upd.params is params and (upd.n_samples, upd.device_id, len(calls)) == (20, 3, 0)
+        first, second = upd.final_loss, upd.final_loss
+    assert len(calls) == 1
+    assert _bits(first) == _bits(second) == _bits(eager)
+    assert math.isnan(eager) == (scale != 1.0)
+
+
+def test_updates_stay_frozen():
+    weights, features, labels = _sgd_problem(5, 2, 3, seed=1)
+    uploaded = upload(ModelParams(weights), _dataset(features, labels), 0)
+    for upd in (_update(0, [1.0], 1), uploaded):
+        with pytest.raises(FrozenInstanceError):
+            upd.final_loss = 2.0
+        with pytest.raises(FrozenInstanceError):
+            upd.n_samples = 2
 
 
 def test_train_config_validation():
