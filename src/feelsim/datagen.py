@@ -143,11 +143,14 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
     remaining rows.  ``_target_sizes`` refuses a pool that is too small.
 
     Every device's rows are a slice of one index array, which gathers the
-    stacks' runs at once; each device shuffles its slice in place, and the
-    features and labels are gathered once, into two arrays that are then
-    made read-only.  Each device's dataset is a view of its row range of
-    them, neither copied nor checked again: its labels are the pool's, which
-    the pool's own construction checked.
+    stacks' runs at once.  The runs of the devices before the first that a
+    class cannot serve are read off the quotas' running totals in one pass;
+    from that device on, they are taken a device and class at a time.  Each
+    device shuffles its slice in place, and the features and labels are
+    gathered once, into two arrays that are then made read-only.  Each
+    device's dataset is a view of its row range of them, neither copied nor
+    checked again: its labels are the pool's, which the pool's own
+    construction checked.
     """
     if pool.task_kind != "classification":
         raise ValidationError("unknown_task_kind", "partition expects a classification pool")
@@ -164,11 +167,22 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
 
     stacks = [rng.permutation(np.flatnonzero(pool.labels == c)) for c in range(n_classes)]
 
-    # a device's picks are runs of the stacks, each read downward from its top
-    left = [stack.size for stack in stacks]
-    offsets = np.cumsum([0] + left[:-1]).tolist()
+    # a device's picks are runs of the stacks, each read downward from its top;
+    # until a device asks a class for more rows than are left, every device
+    # takes its quotas whole, so those devices' runs come from running totals
+    counts = np.array([stack.size for stack in stacks])
+    offsets = np.cumsum(counts) - counts
+    taken = np.cumsum(quotas, axis=0)
+    short = (taken > counts).any(axis=1)
+    whole = int(short.argmax()) if short.any() else spec.n_devices
+    device, label = np.nonzero(quotas[:whole])
+    head_bottoms, head_lengths = offsets[label] + counts[label] - taken[device, label], quotas[device, label]
+
+    # from the first device a class cannot serve on, one device and class at a time
+    left = (counts - taken[whole - 1] if whole else counts).tolist()
+    offsets = offsets.tolist()
     bottoms, lengths = [], []
-    for size, row in zip(sizes.tolist(), quotas.tolist()):
+    for size, row in zip(sizes[whole:].tolist(), quotas[whole:].tolist()):
         for c, quota in enumerate(row):
             take = quota if quota < left[c] else left[c]
             if take:
@@ -181,25 +195,26 @@ def partition(pool: LocalDataset, spec: PartitionSpec, seed: int) -> list:
             left[c] -= 1
             bottoms.append(offsets[c] + left[c])
             lengths.append(1)
+    lengths = np.concatenate([head_lengths, np.array(lengths, dtype=np.int64)])
     run_ends = np.cumsum(lengths)
-    order = np.repeat(np.array(bottoms) + run_ends - 1, lengths) - np.arange(run_ends[-1])
+    bottoms = np.concatenate([head_bottoms, np.array(bottoms, dtype=np.int64)])
+    order = np.repeat(bottoms + run_ends - 1, lengths) - np.arange(run_ends[-1])
     rows = np.concatenate(stacks)[order]
 
     ends = np.cumsum(sizes)
-    spans = [slice(end - size, end) for size, end in zip(sizes.tolist(), ends.tolist())]
-    for span in spans:
-        run = rows[span]
-        rng.shuffle(run)
-        n_dup = int(math.floor(spec.redundancy_factor * run.size))
-        if n_dup > 0:
-            kept = run.size - n_dup
-            run[kept:] = run[rng.integers(0, kept, size=n_dup)]
-            rng.shuffle(run)
+    n_dups = np.floor(spec.redundancy_factor * sizes).astype(np.int64)
+    # one row shuffles to itself and draws nothing, and has no duplicates, so only longer runs are visited
+    many = sizes > 1
+    shuffle, integers = rng.shuffle, rng.integers
+    for start, end, n_dup in zip((ends - sizes)[many].tolist(), ends[many].tolist(), n_dups[many].tolist()):
+        run = rows[start:end]
+        shuffle(run)
+        if n_dup:
+            kept = end - start - n_dup
+            run[kept:] = run[integers(0, kept, size=n_dup)]
+            shuffle(run)
 
-    features, labels = pool.features[rows], pool.labels[rows]
-    features.setflags(write=False)
-    labels.setflags(write=False)
-    return [LocalDataset._trusted(features[span], labels[span]) for span in spans]
+    return LocalDataset._trusted_views(pool.features[rows], pool.labels[rows], ends.tolist())
 
 
 @dataclass(frozen=True)
@@ -266,22 +281,25 @@ def make_fleet(spec: FleetSpec, datasets: list, master_seed: int) -> list:
     freq_lo, freq_span = spec.cpu_freq_min, spec.cpu_freq_max - spec.cpu_freq_min
     battery_lo, battery_span = spec.battery_min, spec.battery_max - spec.battery_min
     power_lo, power_span = spec.tx_power_min, spec.tx_power_max - spec.tx_power_min
-    fleet = []
+    fleet, generator, pcg64 = [], np.random.Generator, np.random.PCG64
+    epc, capacity = spec.energy_per_cycle, spec.capacity_joules
+    mean, spread, std = spec.mean_snr_db, spec.snr_spread_db, spec.std_snr_db
     seeds = seeding.substream_seeds(master_seed, seeding.FLEET, range(len(datasets)))
     for i, (dataset, seed) in enumerate(zip(datasets, seeds)):
-        rng = np.random.default_rng(seed)
-        mean_snr = float(spec.mean_snr_db + spec.snr_spread_db * rng.standard_normal())
+        rng = generator(pcg64(seed))  # what default_rng builds from a seed sequence, without its type tests
+        mean_snr = float(mean + spread * rng.standard_normal())
         u_cycles, u_freq, u_battery, u_power = rng.random(4).tolist()
+        # positional, in DeviceProfile's field order
         profile = DeviceProfile(
-            id=i,
-            cpu_cycles_per_sample=cycles_lo + cycles_span * u_cycles,
-            cpu_freq=freq_lo + freq_span * u_freq,
-            battery_level=battery_lo + battery_span * u_battery,
-            tx_power=power_lo + power_span * u_power,
-            energy_per_cycle=spec.energy_per_cycle,
-            capacity_joules=spec.capacity_joules,
-            channel=_trusted_channel(mean_snr, mean_snr, spec.std_snr_db),
-            dataset=dataset,
+            i,
+            cycles_lo + cycles_span * u_cycles,
+            freq_lo + freq_span * u_freq,
+            battery_lo + battery_span * u_battery,
+            power_lo + power_span * u_power,
+            epc,
+            capacity,
+            _trusted_channel(mean_snr, mean_snr, std),
+            dataset,
         )
         fleet.append(profile)
     return fleet

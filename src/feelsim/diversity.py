@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DatasetProfile, LocalDataset, ModelParams, require_finite, require_simplex
+from .domain import DatasetProfile, LocalDataset, ModelParams, _trusted_dataset_profile, require_finite, require_simplex
 from .errors import (
     EmptyDatasetError,
     NoTemplateMatchesError,
@@ -289,7 +289,7 @@ class DiversityConfig:
 def _profile(uncertainty: float, u_hat: float, n: int) -> DatasetProfile:
     """The profile of ``n`` samples: the index is u_hat, clamped to [0, 1], times ln(1 + n)."""
     u_hat = min(max(u_hat, 0.0), 1.0)
-    return DatasetProfile(uncertainty=float(uncertainty), diversity_index=u_hat * math.log1p(n))
+    return _trusted_dataset_profile(float(uncertainty), u_hat * math.log1p(n))
 
 
 def dataset_diversity_index(

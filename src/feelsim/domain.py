@@ -69,9 +69,10 @@ class LocalDataset:
     """A device-local dataset: feature rows plus labels for classification.
 
     ``LocalDataset(...)`` copies ``features`` and ``labels`` into read-only
-    arrays and checks them.  ``LocalDataset._trusted`` is the one internal
-    path that neither copies nor checks: the generated pool, the train/test
-    split and every partitioned device's rows take it.
+    arrays and checks them.  ``LocalDataset._trusted_views`` is the one
+    internal path that neither copies nor checks: the generated pool and the
+    train/test split take it through ``_trusted``, and a partition's devices
+    take it for their row ranges all at once.
     """
 
     task_kind: str
@@ -108,13 +109,29 @@ class LocalDataset:
         of as many rows, gathered from a dataset that has been checked (or
         made so by construction): no other reference may write to them.
         """
+        return cls._trusted_views(features, labels, [features.shape[0]])[0]
+
+    @classmethod
+    def _trusted_views(cls, features: np.ndarray, labels: np.ndarray, ends: list) -> list:
+        """Datasets over consecutive row ranges, the i-th ending at row ``ends[i]``, of arrays as ``_trusted`` takes them.
+
+        Both arrays are marked read-only once, and each dataset holds views
+        of its rows, which inherit the flag.
+        """
         features.setflags(write=False)
         labels.setflags(write=False)
-        dataset = object.__new__(cls)
-        # the fields __post_init__ would set, written past the frozen __setattr__ at once
-        dataset.__dict__.update(task_kind="classification", features=features, labels=labels)
-        dataset.__dict__["n_samples"] = features.shape[0]
-        return dataset
+        new, datasets, start = object.__new__, [], 0
+        for end in ends:
+            dataset = new(cls)
+            # the fields __post_init__ would set, written past the frozen __setattr__
+            state = dataset.__dict__
+            state["task_kind"] = "classification"
+            state["features"] = features[start:end]
+            state["labels"] = labels[start:end]
+            state["n_samples"] = end - start
+            datasets.append(dataset)
+            start = end
+        return datasets
 
     def class_counts(self, n_classes: int) -> np.ndarray:
         """Histogram of labels over ``n_classes`` bins (classification only)."""
@@ -164,9 +181,12 @@ def _trusted_channel(snr_db: float, mean_snr_db: float, std_snr_db: float) -> Ch
     return channel
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceProfile:
-    """Static capabilities and evolving state of one edge device."""
+    """Static capabilities and evolving state of one edge device.
+
+    A fleet holds one per device, so the fields are slots.
+    """
 
     id: int
     cpu_cycles_per_sample: float
@@ -194,12 +214,27 @@ class ModelParams:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetProfile:
-    """Device-side summary of a local dataset: its uncertainty and the diversity index built from it."""
+    """Device-side summary of a local dataset: its uncertainty and the diversity index built from it.
+
+    ``_trusted_dataset_profile`` builds one past ``__init__``: the diversity
+    module makes one per device.
+    """
 
     uncertainty: float
     diversity_index: float
+
+
+_set_uncertainty, _set_dataset_index = (DatasetProfile.__dict__[name].__set__ for name in ("uncertainty", "diversity_index"))
+
+
+def _trusted_dataset_profile(uncertainty: float, diversity_index: float) -> DatasetProfile:
+    """A dataset profile built past ``__init__``, as ``_trusted_channel`` builds a channel."""
+    profile = object.__new__(DatasetProfile)
+    _set_uncertainty(profile, uncertainty)
+    _set_dataset_index(profile, diversity_index)
+    return profile
 
 
 @dataclass(frozen=True)

@@ -384,14 +384,15 @@ def aggregate_fedavg(updates: list) -> ModelParams:
 
 
 def _tilted_weight(u: Update, q: float) -> float:
-    """``u``'s aggregation weight n * loss ** q at q > 0; one past the float range raises ``DegenerateWeightsError``."""
+    """``u``'s aggregation weight n * loss ** q at q > 0; one past the float range or NaN raises ``DegenerateWeightsError``."""
     loss = u.final_loss
     try:
         weight = u.n_samples * loss**q
     except OverflowError:  # a float power past the float range raises; a product past it is inf
         weight = math.inf
-    if weight == math.inf:
-        raise DegenerateWeightsError(f"device {u.device_id}'s aggregation weight {u.n_samples} * {loss!r} ** {q} overflows")
+    if not weight < math.inf:
+        fault = "is NaN" if math.isnan(weight) else "overflows"
+        raise DegenerateWeightsError(f"device {u.device_id}'s aggregation weight {u.n_samples} * {loss!r} ** {q} {fault}")
     return weight
 
 
@@ -401,9 +402,11 @@ def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
 
     q > 0 tilts the average toward devices the current model serves worst;
     q = 0 is plain sample-count averaging (FedAvg), which reads no update's
-    ``final_loss``.  A weight past the float range raises
+    ``final_loss``.  A weight past the float range or NaN raises
     ``DegenerateWeightsError`` naming its device, and weights whose sum is
-    past it, zero or NaN raise it too.
+    past the float range or zero raise it too.  A diverged upload's loss
+    overflows in its ``||W||^2`` and is NaN; that overflow is refused as a
+    NaN weight, not warned of.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -415,8 +418,8 @@ def aggregate_loss_weighted(updates: list, q: float = 0.0) -> ModelParams:
         if u.params.weights.size != length:
             raise ShapeMismatchError(f"update from device {u.device_id} has length {u.params.weights.size}")
     if q:
-        raw = np.array([_tilted_weight(u, q) for u in ordered])
-        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        with np.errstate(over="ignore"):  # a loss whose ||W||^2 overflows is NaN; it and a sum past the range are refused
+            raw = np.array([_tilted_weight(u, q) for u in ordered])
             total = raw.sum()
     else:  # n * loss ** 0.0 is float(n) for every loss, NaN and ±inf included, so no loss is read
         raw = np.array([float(u.n_samples) for u in ordered])

@@ -68,7 +68,8 @@ class PresetSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself, which the identity test takes without building a dtype
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("a PresetSeed holds only the 4 uint64 words that seed a PCG64")
         return self.words.copy()
 

@@ -433,6 +433,19 @@ def test_main_run_logs_each_run_whose_aggregation_weight_overflows_and_goes_on(t
     assert (tmp_path / "out" / "ovf" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
 
 
+def test_main_run_logs_a_run_whose_upload_diverged_to_nan_and_goes_on(tmp_path, caplog):
+    # a learning rate of 1e300 drives an upload's ||W||^2 past the float range, so its loss and weight are NaN
+    text = "[train]\nlearning_rate = 1e300\n[scheduler]\naggregation = loss_weighted\nq = 1\n"
+    text += "[experiment]\nname = nan\nseeds = 0\nschedulers = random\n"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith("run random/seed 0 failed: degenerate_weights: device ")
+    assert messages[0].endswith("is NaN")
+    assert (tmp_path / "out" / "nan" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "[experiment]\nrounds_max = 3\n")
     assert main(["run", bad]) == 2

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +27,7 @@ from feelsim.datagen import (
     partition,
 )
 from feelsim.diversity import shannon_entropy
-from feelsim.domain import LocalDataset
+from feelsim.domain import ChannelState, DeviceProfile, LocalDataset
 from feelsim.errors import InsufficientPoolError, ValidationError
 from feelsim.learning import TrainConfig, evaluate, init_model, local_train
 
@@ -303,6 +306,14 @@ def _partition_cases(draw):
 @given(_partition_cases())
 # alpha 0.01 gives each device nearly one class, so classes run dry and picks spill
 @example(([0, 1, 2] * 10, PartitionSpec(n_devices=8, skew="dirichlet", alpha=0.01, redundancy_factor=0.25), 3))
+# devices 0 to 138 take their quotas whole; device 139 is the first a class cannot serve, and 12 of the 61 from it on spill
+@example(
+    (
+        [0, 1, 2, 3, 4] * 100,
+        PartitionSpec(n_devices=200, skew="dirichlet", alpha=0.01, size_dist="lognormal", redundancy_factor=0.25),
+        4,
+    )
+)
 # class 1 has no rows, but the Dirichlet draw still gives it quotas
 @example(([0, 2, 2, 0, 2, 0, 2, 2], PartitionSpec(n_devices=3, skew="dirichlet", alpha=0.3), 1))
 @example(([1, 0, 1, 1, 0], PartitionSpec(n_devices=1, size_dist="lognormal", redundancy_factor=0.6), 0))
@@ -386,6 +397,35 @@ def test_fleet_device_streams_are_independent():
     for a, b in zip(small, large):
         assert a.cpu_freq == b.cpu_freq
         assert a.channel.snr_db == b.channel.snr_db
+
+
+def test_fleet_profiles_are_plain_device_profiles():
+    datasets = [_uniform_pool(n=4)] * 6
+    spec = FleetSpec(n_devices=6)
+    for dev, dataset in zip(make_fleet(spec, datasets, master_seed=3), datasets):
+        channel = dev.channel
+        built = DeviceProfile(
+            id=dev.id,
+            cpu_cycles_per_sample=dev.cpu_cycles_per_sample,
+            cpu_freq=dev.cpu_freq,
+            battery_level=dev.battery_level,
+            tx_power=dev.tx_power,
+            energy_per_cycle=spec.energy_per_cycle,
+            capacity_joules=spec.capacity_joules,
+            channel=ChannelState(channel.snr_db, channel.mean_snr_db, channel.std_snr_db),
+            dataset=dataset,
+        )
+        assert type(dev) is DeviceProfile and (dev, repr(dev)) == (built, repr(built))
+        # a dataset compares by identity, so a copy is compared with the copied dataset put back
+        for copied in (pickle.loads(pickle.dumps(dev)), copy.deepcopy(dev)):
+            assert copied.dataset.features.tobytes() == dataset.features.tobytes()
+            assert replace(copied, dataset=dataset) == dev
+        assert replace(dev) == dev and replace(dev, battery_level=0.5).battery_level == 0.5
+        # the four fields the engine updates in place
+        dev.battery_level, dev.participation_count, dev.last_participation_round = 0.25, 2, 7
+        dev.channel = replace(channel, snr_db=-3.0)
+        assert (dev.battery_level, dev.participation_count, dev.last_participation_round) == (0.25, 2, 7)
+        assert dev.channel.snr_db == -3.0 and dev != built
 
 
 def _reference_fleet_fields(spec: FleetSpec, master_seed: int) -> list:

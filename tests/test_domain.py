@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from feelsim.domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
+    _trusted_dataset_profile,
     left_sum,
 )
 from feelsim.engine import SimulationResult, SimulationState
@@ -57,6 +60,17 @@ def test_value_types_are_immutable():
     for value, name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, None)
+
+
+def test_trusted_dataset_profile_is_the_constructors_value():
+    # one per device is built past __init__; it must be the instance the constructor makes
+    trusted, built = _trusted_dataset_profile(0.5, 0.25), DatasetProfile(uncertainty=0.5, diversity_index=0.25)
+    assert type(trusted) is type(built) and not hasattr(trusted, "__dict__")
+    assert (trusted, hash(trusted), repr(trusted)) == (built, hash(built), repr(built))
+    for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted), dataclasses.replace(trusted)):
+        assert copied == built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(trusted, "diversity_index", 1.0)
 
 
 def test_abort_is_read_off_the_participants():

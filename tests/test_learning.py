@@ -675,6 +675,23 @@ def test_loss_weighted_refuses_a_weight_that_overflows(updates, message):
         aggregate_loss_weighted(updates, q=2.0)
 
 
+def test_loss_weighted_reads_a_diverged_loss_without_a_numpy_warning():
+    # ||W||^2 of weights near 1e300 overflows inside the upload's loss, which is NaN; the
+    # overflow warning, an error under warnings-as-errors, must not end the aggregation first
+    weights, features, labels = _sgd_problem(20, 3, 4, seed=7)
+    data = _dataset(features, labels)
+    updates = [upload(ModelParams(weights), data, 0), upload(ModelParams(weights * 1e300), data, 1)]
+    with pytest.raises(DegenerateWeightsError, match=r"device 1's aggregation weight 20 \* nan \*\* 1.0 is NaN"):
+        aggregate_loss_weighted(updates, q=1.0)
+
+
+@pytest.mark.parametrize("loss", [math.nan, -math.nan])
+def test_loss_weighted_names_the_device_whose_weight_is_nan(loss):
+    updates = [_update(0, [1.0], 4, loss=2.0), Update(ModelParams(np.array([3.0])), 7, loss, 5)]
+    with pytest.raises(DegenerateWeightsError, match=r"device 5's aggregation weight 7 \* nan \*\* 0.5 is NaN"):
+        aggregate_loss_weighted(updates, q=0.5)
+
+
 # NaNs of both signs, both infinities, both zeros, the least subnormal and a loss near the float maximum
 ODD_LOSSES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7e308]
 
