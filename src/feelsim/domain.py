@@ -145,11 +145,12 @@ class ChannelState:
     """Per-device channel: current SNR plus the distribution it is drawn from.
 
     No field is NaN and the std is finite and nonnegative; the SNR and its
-    mean may be infinite.  ``_trusted_channel`` is the one internal path
-    that does not check: ``make_fleet`` takes it for the channels it draws
-    from a checked ``FleetSpec``, and ``resample_channel`` for each round's
-    fade.  A fleet holds one per device and a round makes one per device,
-    so the fields are slots: an instance has no ``__dict__``.
+    mean may be infinite.  Two internal paths do not check:
+    ``_trusted_channel``, which ``make_fleet`` takes for the channels it
+    draws from a checked ``FleetSpec``, and ``resample_channel``, which
+    writes each round's fade into the slots the same way.  A fleet holds one
+    per device and a round makes one per device, so the fields are slots: an
+    instance has no ``__dict__``.
     """
 
     snr_db: float

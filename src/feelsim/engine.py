@@ -273,8 +273,9 @@ def _round_steps(state: SimulationState, train_first: bool):
     """
     cfg, rnd = state.cfg, state.round
     epochs = cfg.train.epochs
+    fade, seed = resample_channel, cfg.master_seed  # looked up each round, so a wrapper on the name sees every call
     for did, dev in state.devices.items():  # fade every channel, then apply the hard constraints
-        dev.channel = resample_channel(dev.channel, cfg.master_seed, did, rnd)
+        dev.channel = fade(dev.channel, seed, did, rnd)
     eligible = filter_eligible(state.devices.values(), cfg.constraints, cfg.network, epochs)
     compute_times, energies, trained, stack = {}, {}, eligible, None
     if train_first:

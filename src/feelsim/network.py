@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import seeding
-from .domain import ChannelState, DeviceProfile, _trusted_channel, left_sum, require_finite
+from .domain import ChannelState, DeviceProfile, _set_mean_snr, _set_snr, _set_std_snr, left_sum, require_finite
 from .errors import NoParticipantsError, UnreachableDeviceError, ValidationError
 
 ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
@@ -23,6 +23,8 @@ ALLOCATION_STRATEGIES = ("equal", "equalize_completion")
 _BISECTION_ITERS = 60
 
 _CHANNEL_BLOCK = 256  # device ids per CHANNEL substream
+
+_bare = object.__new__  # one global read per fade, not a lookup of object's attribute
 
 
 @dataclass(frozen=True)
@@ -174,9 +176,17 @@ def resample_channel(
     cache of the last 8 blocks lets a round that walks its devices in id
     order draw each block once; no draw depends on the cache or on the fleet
     size.
+
+    The new channel is built as ``domain._trusted_channel`` builds one,
+    written out: a call per device per round costs more than its three slot
+    writes.
     """
     mean, std = channel.mean_snr_db, channel.std_snr_db
     if not std >= 0:  # a constructed ChannelState passed this; one set past its check has not
         raise ValidationError("negative_snr_std", f"{std}")
     z = _channel_normals(master_seed, round_index, device_id // _CHANNEL_BLOCK)[device_id % _CHANNEL_BLOCK]
-    return _trusted_channel(float(mean + std * z), mean, std)
+    faded = _bare(ChannelState)
+    _set_snr(faded, float(mean + std * z))
+    _set_mean_snr(faded, mean)
+    _set_std_snr(faded, std)
+    return faded

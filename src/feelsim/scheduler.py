@@ -86,14 +86,18 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
     One pass with the network formulas written out, in the operation order
     of ``expected_completion_time(dev, net, share, epochs)``:
     ``epochs * n * cycles / f + bits / (share * ln(1 + snr) / ln 2)``, so
-    every completion time has its bits.  As there, a share that underflows
-    to 0 raises ``ValueError`` once a device passes the battery, SNR and
-    size checks, and so does ``epochs < 1`` once one of them is reachable.
+    every completion time has its bits.  ``ln(1 + snr)`` is
+    ``network._log1p_snr`` written out, one ``math.log1p`` per device, with
+    that helper called only where ``10^(snr/10)`` overflows.  As there, a
+    share that underflows to 0 raises ``ValueError`` once a device passes
+    the battery, SNR and size checks, and so does ``epochs < 1`` once one
+    of them is reachable.
     """
     offered = list(devices)
     share = net.total_bandwidth / max(len(offered), 1)
     min_battery, min_snr, min_size = constraints.min_battery, constraints.min_snr_db, constraints.min_data_size
     deadline, bits, ln2 = constraints.completion_threshold, net.model_size_bits, math.log(2.0)
+    log1p = math.log1p
     eligible = []
     for dev in offered:
         battery = dev.battery_level
@@ -105,7 +109,10 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
         n = dev.dataset.n_samples
         if n < min_size:
             continue
-        rate = share * _log1p_snr(snr) / ln2
+        try:
+            rate = share * log1p(10.0 ** (snr / 10.0)) / ln2
+        except OverflowError:  # above about 3080 dB
+            rate = share * _log1p_snr(snr) / ln2
         if not rate > 0.0:  # a share of 0 gives a rate of 0 or NaN
             if share <= 0:
                 raise ValueError("bandwidth must be positive")
@@ -120,10 +127,22 @@ def filter_eligible(devices, constraints: ConstraintConfig, net: NetworkConfig, 
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
+    """Each value's place in [0, 1] between the least and the greatest; 0.5 for all when they are equal.
+
+    A field with an infinity or a NaN is min-maxed over its finite values,
+    +inf maps to 1.0, -inf to 0.0 and a NaN stays NaN (``inf / inf`` would
+    make the best channel NaN, ranked last).
+    """
     lo, hi = values.min(), values.max()
     if hi == lo:
         return np.full(values.shape, 0.5)
-    return (values - lo) / (hi - lo)
+    if math.isfinite(lo) and math.isfinite(hi):
+        return (values - lo) / (hi - lo)
+    finite = np.isfinite(values)
+    out = np.where(np.isnan(values), math.nan, np.where(values > 0, 1.0, 0.0))
+    if finite.any():
+        out[finite] = _minmax(values[finite])
+    return out
 
 
 def _best_first(devices: list, score: np.ndarray, *ties, k: int) -> list:
@@ -175,13 +194,16 @@ def schedule_pre_training(
     ``diversity`` maps device id to the scalar index each device reported.
     Diversity and SNR are min-max normalized over the eligible set (a
     constant field normalizes to 0.5 so its weight shifts every score
-    equally); battery is already a fraction and enters as-is.
+    equally, and an infinite SNR to 1.0 or 0.0 by its sign); battery is
+    already a fraction and enters as-is.
     """
 
     def rank() -> list:
-        div = _minmax(np.array([float(diversity[d.id]) for d in eligible]))
-        snr = _minmax(np.array([d.channel.snr_db for d in eligible]))
-        batt = np.array([d.battery_level for d in eligible])
+        ids = [d.id for d in eligible]
+        n = len(ids)
+        div = _minmax(np.fromiter(map(diversity.__getitem__, ids), float, n))
+        snr = _minmax(np.fromiter([d.channel.snr_db for d in eligible], float, n))
+        batt = np.fromiter([d.battery_level for d in eligible], float, n)
         score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
         return _best_first(eligible, score, k=k)
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +44,17 @@ def make_device(
         participation_count=participation_count,
         last_participation_round=last_round,
     )
+
+
+def assert_is_the_constructors_channel(channel) -> None:
+    """``channel``, built past ``ChannelState.__init__``, is the value the constructor makes of its fields."""
+    built = ChannelState(channel.snr_db, channel.mean_snr_db, channel.std_snr_db)
+    assert type(channel) is ChannelState and not hasattr(channel, "__dict__")
+    assert (channel, hash(channel), repr(channel)) == (built, hash(built), repr(built))
+    for copied in (pickle.loads(pickle.dumps(channel)), copy.deepcopy(channel), dataclasses.replace(channel)):
+        assert type(copied) is ChannelState and (copied, repr(copied)) == (built, repr(built))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        channel.snr_db = 0.0
 
 
 @pytest.fixture

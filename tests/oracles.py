@@ -14,7 +14,10 @@ since only the bookkeeping after them is under test; and
 ``feelsim.datagen._target_sizes`` must match wherever they fit the pool; and
 ``reference_equalize_completion``, the bisection of all 60 steps whose
 shares ``feelsim.network.allocate_bandwidth`` must match bit for bit, which
-takes each device's spectral efficiency and compute time from the package.
+takes each device's spectral efficiency and compute time from the package; and
+``reference_pre_training``, the pre-training score built from per-device
+lists, whose decision ``feelsim.scheduler.schedule_pre_training`` must match
+bit for bit, which takes its bandwidth shares from the package.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from feelsim.datagen import _largest_remainder, _target_sizes
 from feelsim.errors import InsufficientPoolError
-from feelsim.network import channel_rate, compute_time
+from feelsim.domain import ScheduleDecision
+from feelsim.network import allocate_bandwidth, channel_rate, compute_time
 
 
 def shannon_entropy(counts) -> float:
@@ -330,3 +334,24 @@ def reference_partition(pool, spec, seed: int) -> list:
 
         datasets.append((pool.features[rows], pool.labels[rows]))
     return datasets
+
+
+def reference_pre_training(eligible: list, diversity, k: int, weights, constraints, net, epochs: int) -> ScheduleDecision:
+    """The first k of ``eligible`` by descending score, then lower id, for finite fields.
+
+    Each field is a list converted with ``np.array``, diversity through
+    ``float``; diversity and SNR are min-maxed, 0.5 for a field of equal values.
+    """
+
+    def minmax(values: np.ndarray) -> np.ndarray:
+        lo, hi = values.min(), values.max()
+        return np.full(values.shape, 0.5) if hi == lo else (values - lo) / (hi - lo)
+
+    div = minmax(np.array([float(diversity[d.id]) for d in eligible]))
+    snr = minmax(np.array([d.channel.snr_db for d in eligible]))
+    batt = np.array([d.battery_level for d in eligible])
+    score = weights.w_diversity * div + weights.w_battery * batt + weights.w_channel * snr
+    best = sorted(range(len(eligible)), key=lambda i: (-score[i], eligible[i].id))[:k]
+    chosen = [eligible[i] for i in best]
+    shares = allocate_bandwidth(chosen, net, epochs) if chosen else {}
+    return ScheduleDecision(tuple(d.id for d in chosen), shares, len(chosen) >= constraints.min_participants)

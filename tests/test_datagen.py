@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import assert_is_the_constructors_channel
 from feelsim import seeding
 from feelsim.datagen import (
     SIZE_DISTS,
@@ -397,6 +398,14 @@ def test_fleet_device_streams_are_independent():
     for a, b in zip(small, large):
         assert a.cpu_freq == b.cpu_freq
         assert a.channel.snr_db == b.channel.snr_db
+
+
+def test_fleet_channels_are_the_constructors_values():
+    datasets = [_uniform_pool(n=4)] * 5
+    for spec in (FleetSpec(n_devices=5), FleetSpec(n_devices=5, snr_spread_db=0.0, std_snr_db=0.0)):
+        for dev in make_fleet(spec, datasets, master_seed=9):
+            assert_is_the_constructors_channel(dev.channel)
+            assert dev.channel.snr_db == dev.channel.mean_snr_db and type(dev.channel.snr_db) is float
 
 
 def test_fleet_profiles_are_plain_device_profiles():

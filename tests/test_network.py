@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import math
-import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_device
+from conftest import assert_is_the_constructors_channel, make_device
 from feelsim import seeding
 from feelsim.domain import ChannelState
 from feelsim.errors import NoParticipantsError, UnreachableDeviceError, ValidationError
@@ -326,17 +323,19 @@ def test_resample_channel_keeps_the_distribution_and_its_input():
 
 
 def test_resample_channel_builds_a_channel_like_the_constructor():
-    channel = ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75)
-    out = resample_channel(channel, 7, 300, 2)
-    built = ChannelState(out.snr_db, 9.5, 2.75)
-    assert type(out) is ChannelState
-    assert (out, hash(out), repr(out)) == (built, hash(built), repr(built))
-    assert not hasattr(out, "__dict__")  # its three slots are all it carries
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        out.snr_db = 0.0
-    for copied in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out), replace(out)):
-        assert copied == out and repr(copied) == repr(out)
-    assert replace(out, snr_db=1.0) == ChannelState(1.0, 9.5, 2.75)
+    channels = [
+        ChannelState(snr_db=3.25, mean_snr_db=9.5, std_snr_db=2.75),
+        ChannelState(snr_db=1.0, mean_snr_db=-0.0, std_snr_db=0.0),
+        ChannelState(snr_db=math.inf, mean_snr_db=math.inf, std_snr_db=1.0),
+        ChannelState(snr_db=-math.inf, mean_snr_db=-math.inf, std_snr_db=0.0),
+        ChannelState(snr_db=2.0, mean_snr_db=np.float64(4.5), std_snr_db=np.float64(0.5)),  # numpy fields kept as given
+    ]
+    for channel in channels:
+        out = resample_channel(channel, 7, 300, 2)
+        assert type(out.snr_db) is float
+        assert out.mean_snr_db is channel.mean_snr_db and out.std_snr_db is channel.std_snr_db
+        assert_is_the_constructors_channel(out)
+    assert replace(out, snr_db=1.0) == ChannelState(1.0, 4.5, 0.5)
 
 
 def test_resample_channel_refuses_a_nan_std():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from feelsim.scheduler import (
     ConstraintConfig,
     ScoreWeights,
     _best_first,
+    _minmax,
     filter_eligible,
     jain_fairness,
     schedule_age_fair,
@@ -315,6 +316,36 @@ def test_pre_training_exact_ties_prefer_lower_id():
     assert decision.selected == (0, 1)
 
 
+def test_pre_training_ranks_an_infinite_snr_as_the_best_channel():
+    # filter_eligible admits an infinite SNR; it normalizes to 1.0, not to inf / inf
+    devices = [make_device(device_id=i, snr_db=snr) for i, snr in enumerate([math.inf, 10.0, 5.0])]
+    assert filter_eligible(devices, LAX, NET, epochs=1) == devices
+    decision = schedule_pre_training(
+        devices, {i: 0.5 for i in range(3)}, k=1, weights=ScoreWeights(), constraints=LAX, net=NET, epochs=1
+    )
+    assert decision.selected == (0,)
+
+
+@pytest.mark.parametrize(
+    "snrs, expected",
+    [
+        ([math.inf, 10.0, 5.0], [1.0, 1.0, 0.0]),
+        ([5.0, -math.inf, 10.0, 7.5], [0.0, 0.0, 1.0, 0.5]),
+        ([math.inf, 3.0, -math.inf, 3.0], [1.0, 0.5, 0.0, 0.5]),  # the finite values are all equal
+        ([math.inf, -math.inf], [1.0, 0.0]),
+        ([math.inf, math.inf], [0.5, 0.5]),  # all equal
+        ([-math.inf], [0.5]),
+    ],
+)
+def test_minmax_maps_infinities_to_the_ends_of_the_finite_range(snrs, expected):
+    assert _minmax(np.array(snrs)).tolist() == expected
+
+
+def test_minmax_keeps_a_nan_to_its_own_entry():
+    out = _minmax(np.array([math.nan, 2.0, math.inf, 4.0]))
+    assert math.isnan(out[0]) and out[1:].tolist() == [0.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize("order", [[3, 1, 0, 2], [2, 3, 1, 0], [0, 1, 2, 3]])
 def test_pre_training_equal_scores_prefer_lower_id_in_any_input_order(order):
     devices = [make_device(device_id=i) for i in order]
@@ -374,6 +405,44 @@ def test_best_first_is_the_first_k_of_the_sorted_key(rows, k, with_tie):
     expected = [ids[i] for i in sorted(range(n), key=key)][:k]
     ranked = _best_first(devices, score, *([tie] if with_tie else []), k=k)
     assert [d.id for d in ranked] == expected
+
+
+def _scored(i, snr, battery):
+    return SimpleNamespace(id=i, channel=SimpleNamespace(snr_db=snr), battery_level=battery)
+
+
+_FIELD = st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.7, 1.0, -7.5, 1e-300]) | st.floats(-40.0, 40.0)
+
+
+@st.composite
+def _pre_training_cases(draw):
+    """Eligible devices with ids out of order, tied fields, and a diversity mapping of mixed value types."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    eligible = [_scored(i, draw(_FIELD), draw(st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0))) for i in ids]
+    value = st.sampled_from([float, np.float64, int])
+    diversity = {}
+    for i in ids + draw(st.lists(st.integers(41, 60), max_size=3)):  # the fleet may report beyond the eligible
+        kind = draw(value)
+        diversity[i] = kind(draw(st.integers(0, 3))) if kind is int else kind(draw(_FIELD))
+    if draw(st.booleans()):
+        diversity = MappingProxyType(diversity)
+    weights = draw(st.sampled_from([ScoreWeights(), ScoreWeights(1.0, 0.0, 0.0), ScoreWeights(0.0, 0.0, 1.0), ScoreWeights(0.25, 0.5, 0.25)]))
+    return eligible, diversity, draw(st.integers(1, len(ids) + 2)), weights
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pre_training_cases())
+@example(  # ids out of order; devices 7 and 2 tie at the cut, one at -0.0 dB and one at 0.0 dB
+    ([_scored(7, -0.0, 0.5), _scored(9, -3.0, 1.0), _scored(2, 0.0, 0.5), _scored(4, 6.0, 0.0)],
+     MappingProxyType({7: np.float64(0.5), 9: 1, 2: 0.5, 4: 0.0, 50: 3.0}), 2, ScoreWeights()),
+)
+@example(  # device 5 scores 0.32 and device 3 one ulp less; (0.6 d + 0.2 b) + 0.2 s is not 0.6 d + (0.2 b + 0.2 s)
+    ([_scored(8, 0.0, 0.0), _scored(5, 1.0, 0.6), _scored(3, 0.7, 0.6)], {8: 1.0, 5: 0.0, 3: 0.1}, 2, ScoreWeights()),
+)
+def test_pre_training_decision_is_the_list_built_scores(case):
+    eligible, diversity, k, weights = case
+    args = (eligible, diversity, k, weights, LAX, NET, 1)
+    assert schedule_pre_training(*args) == oracles.reference_pre_training(*args)
 
 
 def test_pre_training_selection_invariant_to_index_rescaling():
