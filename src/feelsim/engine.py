@@ -120,6 +120,9 @@ class SimulationConfig:
         if self.qffl_q < 0:
             raise ValidationError("negative_q")
         require_finite(self)
+        band, n = self.network.total_bandwidth, self.fleet.n_devices
+        if not band / n > 0:  # the filter's equal share over the fleet; a band this small would fail the first round
+            raise ValidationError("bandwidth_share_underflow", f"total_bandwidth {band!r} over {n} devices is a share of 0")
         if self.qffl_q != 0 and self.aggregation == "fedavg":
             raise ValidationError("q_without_loss_weighting", f"q = {self.qffl_q} needs aggregation = loss_weighted")
         if self.target_accuracy is not None and not (0.0 < self.target_accuracy <= 1.0):

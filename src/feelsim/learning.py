@@ -38,6 +38,7 @@ from .errors import (
 )
 
 _GATHER_ROWS = 1024  # rows of features and one-hot labels train_many gathers at a time
+_CHAIN_ROWS = 128  # rows from which the class-axis row max and row sum run as column chains
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,42 @@ def _unpack(weights: np.ndarray, dim: int):
     return blocks[:, :dim], blocks[:, dim]
 
 
+def _column_chain(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` bit for bit, as ``ufunc`` over the columns left to right below 8 columns.
+
+    numpy's reduce runs its inner loop once per row, a chain once per
+    column.  Below 8 terms ``np.add.reduce`` adds left to right and
+    ``np.maximum.reduce`` breaks a tie of ±0 as the chain does; from 8 (add)
+    or 9 (maximum) terms they do neither, so 8 columns and more keep the
+    reduce.  Which NaN a row keeps can differ between the two, so the rows
+    whose chain is NaN take the reduce.
+    """
+    if a.shape[1] > 7:
+        return ufunc.reduce(a, axis=1)
+    out = a[:, 0].copy()
+    for column in a.T[1:]:
+        ufunc(out, column, out=out)
+    nan = np.isnan(out)
+    if nan.any():
+        out[nan] = ufunc.reduce(a[nan], axis=1)
+    return out
+
+
+def _shifted_exp_sums(a: np.ndarray, out=None) -> np.ndarray:
+    """Shift each row of ``a`` in place so its max is 0, put its ``exp`` in ``out``, and return the row sums.
+
+    The reduces' bits through ``_column_chain``, which pays from about
+    ``_CHAIN_ROWS`` rows; callers keep the reduces for smaller blocks.
+    """
+    a -= _column_chain(np.maximum, a)[:, None]
+    return _column_chain(np.add, np.exp(a, out=out))
+
+
 def _softmax(features: np.ndarray, w_mat: np.ndarray, bias: np.ndarray):
     """Logits shifted so each row's max is 0, and the row sums of their exponentials."""
     logits = features @ w_mat.T + bias
+    if logits.shape[0] >= _CHAIN_ROWS:
+        return logits, _shifted_exp_sums(logits)
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     return logits, np.add.reduce(np.exp(logits), axis=1)
 
@@ -149,11 +183,13 @@ def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: lis
     its loop and the second's in another (with AVX-512: a full vector
     against the loop's tail), so where a NaN meets a NaN its bits depend on
     where the pair sits in the call, and these additions run over the
-    step's own arrays.  The rest runs once over the whole buffer:
-    the row max and row sum reduce each row along its own k entries, and a
-    subtraction, division or exp keeps the same bits wherever an element
-    sits.  Subtracting the one-hot row equals subtracting 1 at the label
-    alone, since x - 0.0 == x for every float, -0.0 and NaN included.
+    step's own arrays.  The rest runs once over the whole buffer: the row
+    max and row sum give each row the bits of a reduce along its own k
+    entries (as column chains from ``_CHAIN_ROWS`` rows and below 8 classes,
+    where a NaN row takes the reduce), and a subtraction, division or exp
+    keeps the same bits wherever an element sits.  Subtracting the one-hot
+    row equals subtracting 1 at the label alone, since x - 0.0 == x for
+    every float, -0.0 and NaN included.
     """
     dim = x.shape[1]
     w_mat = w[:, :, :dim]
@@ -167,9 +203,13 @@ def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: lis
         p += w[g:h, None, :, dim]
         parts.append((g, h, n, p, xb))
         g, r = h, s
-    probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    if probs.shape[0] < _CHAIN_ROWS:
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    else:
+        z = _shifted_exp_sums(probs, out=probs)
+        probs /= z[:, None]
     probs -= onehot
     penalty = l2_reg * w_mat
     grad = np.empty_like(w)

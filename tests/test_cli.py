@@ -144,6 +144,16 @@ def test_q_without_loss_weighting_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_band_whose_equal_share_underflows_is_a_config_error(tmp_path, capsys):
+    # 5e-324 Hz passes the > 0 check, but its share over two devices is 0, which the filter refuses
+    cfg = _write(tmp_path, "[devices]\nn_devices = 2\n[network]\ntotal_bandwidth = 5e-324\n[experiment]\nname = x\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bandwidth_share_underflow: total_bandwidth 5e-324 over 2 devices" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_key_rejected(tmp_path):
     text = "[experiment]\nname = a\nname = b\n"
     with pytest.raises(ConfigError, match="duplicate key 'name'"):

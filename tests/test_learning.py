@@ -326,13 +326,19 @@ PASS_SIZES = (3, 5, 6, 11, 13, 14, 19, 21, 24, 2, 30)
 SPLIT_RUN = 26
 
 
-@pytest.mark.parametrize("cap", [None, SPLIT_RUN])
+@pytest.mark.parametrize(
+    "cap, chain",
+    [(None, False), (SPLIT_RUN, False), (None, True), (SPLIT_RUN, True)],
+    ids=["None", str(SPLIT_RUN), "None-chain", f"{SPLIT_RUN}-chain"],
+)
 @pytest.mark.parametrize("batch", [8, 32])
 @pytest.mark.parametrize("lr", [0.1, 1e306])  # 1e306 diverges every device to NaN
 @pytest.mark.parametrize("l2", [0.0, 0.05])
-def test_train_many_ragged_steps_in_one_pass_keep_every_devices_bits(monkeypatch, l2, lr, batch, cap):
+def test_train_many_ragged_steps_in_one_pass_keep_every_devices_bits(monkeypatch, l2, lr, batch, cap, chain):
     if cap is not None:
         monkeypatch.setattr(learning, "_GATHER_ROWS", cap)
+    if chain:
+        monkeypatch.setattr(learning, "_CHAIN_ROWS", 0)
     weights, datasets = _fleet(PASS_SIZES, seed=batch, scale=50.0 if lr > 1 else 1.0)
     cfg = TrainConfig(epochs=3, batch_size=batch, learning_rate=lr, l2_reg=l2)
     ids = list(range(len(PASS_SIZES)))
@@ -398,6 +404,65 @@ def test_pass_kernel_gives_each_step_the_bits_of_the_step_alone(l2, n_classes):
                 )
                 assert np.array_equal(_bits(got[g : g + devices]), _bits(alone)), (seed, devices, n)
                 g, r = g + devices, r + devices * n
+
+
+def _edge_values(rng, shape):
+    """Normal floats with a random share of NaNs of both signs and assorted payloads, ±0, ±inf, 5e-324 and ±1e308."""
+    nans = (rng.integers(1, 2**51, size=4, dtype=np.uint64) | np.uint64(0x7FF8 << 48)).view(float)
+    pool = np.concatenate([nans, -nans, [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e308, -1e308]])
+    values = rng.standard_normal(shape)
+    edge = rng.random(shape) < rng.choice([0.0, 0.05, 0.5])
+    values[edge] = rng.choice(pool, size=int(edge.sum()))
+    return values
+
+
+def _reduce_softmax(logits):
+    """The row max and row sum as numpy's reduces along axis 1: shifted logits and their exp row sums."""
+    shifted = logits.copy()
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True)
+    return shifted, np.add.reduce(np.exp(shifted), axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 10),
+    rows=st.sampled_from([1, 7, learning._CHAIN_ROWS - 1, learning._CHAIN_ROWS, learning._CHAIN_ROWS + 45]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=6, rows=learning._CHAIN_ROWS, seed=0)
+@example(k=9, rows=learning._CHAIN_ROWS, seed=0)  # from 9 terms the max reduce breaks row 0's ±0 tie otherwise than a chain
+def test_column_chains_keep_the_bits_of_the_row_reduces(k, rows, seed):
+    rng = np.random.default_rng(seed)
+    logits = _edge_values(rng, (rows, k))
+    logits[0] = -1.0
+    logits[0, :2] = (-0.0, 0.0)  # a tie of ±0 as a row's max
+    with np.errstate(all="ignore"):
+        want, want_z = _reduce_softmax(logits)
+        shifted = logits.copy()
+        assert np.array_equal(_bits(learning._shifted_exp_sums(shifted)), _bits(want_z))
+        assert np.array_equal(_bits(shifted), _bits(want))
+        probs = logits.copy()  # in place, as the gradient kernel calls it
+        assert np.array_equal(_bits(learning._shifted_exp_sums(probs, out=probs)), _bits(want_z))
+        assert np.array_equal(_bits(probs), _bits(np.exp(want)))
+        # a row alone takes the reduces; inside a block it has the same bits
+        for i in {0, rows - 1, *np.flatnonzero(np.isnan(want_z))[:2].tolist()}:
+            alone, alone_z = _reduce_softmax(logits[i : i + 1])
+            assert np.array_equal(_bits(alone[0]), _bits(shifted[i])) and _bits(alone_z[0]) == _bits(want_z[i])
+        # the callers give the reduces' bits with every block on the chains, with none and at the threshold
+        dim = 3
+        features, weights = _edge_values(rng, (rows, dim)), _edge_values(rng, k * (dim + 1))
+        labels = rng.integers(0, k, size=rows)
+        w_mat, bias = learning._unpack(weights, dim)
+        want, want_z = _reduce_softmax(features @ w_mat.T + bias)
+        results = []
+        for chain_rows in (0, rows + 1, learning._CHAIN_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(learning, "_CHAIN_ROWS", chain_rows)
+                got, got_z = learning._softmax(features, w_mat, bias)
+                accuracy, loss = evaluate(ModelParams(weights), _dataset(features, labels))
+                results.append((accuracy, _bits(loss), _bits(learning._penalized_loss(weights, features, labels, 0.05))))
+            assert np.array_equal(_bits(got), _bits(want)) and np.array_equal(_bits(got_z), _bits(want_z))
+    assert results[0] == results[1] == results[2]
 
 
 def test_one_hot_subtraction_is_bitwise_subtracting_one_at_each_label():
@@ -495,8 +560,13 @@ def test_train_many_takes_the_engines_preset_seeds():
         assert _bits(a.final_loss) == _bits(b.final_loss)
 
 
-@pytest.mark.parametrize("l2", [0.0, 0.05])
-def test_train_many_diverging_devices_keep_their_nan_bits(l2):
+# "chain": every pass takes the column chains and their NaN fallback, as _CHAIN_ROWS = 0 makes it
+@pytest.mark.parametrize(
+    "l2, chain", [(0.0, False), (0.05, False), (0.0, True), (0.05, True)], ids=["0.0", "0.05", "0.0-chain", "0.05-chain"]
+)
+def test_train_many_diverging_devices_keep_their_nan_bits(monkeypatch, l2, chain):
+    if chain:
+        monkeypatch.setattr(learning, "_CHAIN_ROWS", 0)
     sizes = [int(n) for n in np.random.default_rng(1).integers(1, 40, size=24)]
     weights, datasets = _fleet(sizes, seed=2, scale=50.0)
     cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e306, l2_reg=l2)
