@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domain import DatasetProfile, LocalDataset, ModelParams, _trusted_dataset_profile, require_finite, require_simplex
+from .domain import DatasetProfile, LocalDataset, ModelParams, require_finite, require_simplex
 from .errors import (
     EmptyDatasetError,
     NoTemplateMatchesError,
@@ -71,7 +71,7 @@ def _uncertainties(counts: np.ndarray, measure: str) -> np.ndarray:
     present = counts > 0
     width = np.count_nonzero(present, axis=-1)
     h = np.empty(len(counts))
-    for m in np.flatnonzero(np.bincount(width)):  # np.bincount, not np.unique: see README's Performance section
+    for m in np.flatnonzero(np.bincount(width)):  # np.bincount, not np.unique: see the histogram rule in README's Performance section
         rows = np.flatnonzero(width == m)
         p = counts[rows][present[rows]].reshape(rows.size, m) / total[rows]
         h[rows] = 0.0 - np.add.reduce(p * np.log(p), axis=-1)  # not -sum: one class gives +0.0, not -0.0
@@ -289,7 +289,7 @@ class DiversityConfig:
 def _profile(uncertainty: float, u_hat: float, n: int) -> DatasetProfile:
     """The profile of ``n`` samples: the index is u_hat, clamped to [0, 1], times ln(1 + n)."""
     u_hat = min(max(u_hat, 0.0), 1.0)
-    return _trusted_dataset_profile(float(uncertainty), u_hat * math.log1p(n))
+    return DatasetProfile(float(uncertainty), u_hat * math.log1p(n))
 
 
 def dataset_diversity_index(

@@ -219,23 +219,11 @@ class ModelParams:
 class DatasetProfile:
     """Device-side summary of a local dataset: its uncertainty and the diversity index built from it.
 
-    ``_trusted_dataset_profile`` builds one past ``__init__``: the diversity
-    module makes one per device.
+    A fleet holds one per device, so the fields are slots.
     """
 
     uncertainty: float
     diversity_index: float
-
-
-_set_uncertainty, _set_dataset_index = (DatasetProfile.__dict__[name].__set__ for name in ("uncertainty", "diversity_index"))
-
-
-def _trusted_dataset_profile(uncertainty: float, diversity_index: float) -> DatasetProfile:
-    """A dataset profile built past ``__init__``, as ``_trusted_channel`` builds a channel."""
-    profile = object.__new__(DatasetProfile)
-    _set_uncertainty(profile, uncertainty)
-    _set_dataset_index(profile, diversity_index)
-    return profile
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import seeding
 from .datagen import FleetSpec, PartitionSpec, make_classification_pool, make_fleet, partition
 from .diversity import (
@@ -323,9 +325,15 @@ def _round_steps(state: SimulationState, train_first: bool):
 
 
 def _round(state: SimulationState, train_first: bool) -> RoundRecord:
-    """One round of either mode, trained by ``train_many``."""
+    """One round of either mode, trained by ``train_many``.
+
+    A diverging model overflows to inf and NaN, which the round records as
+    they are, so numpy's overflow and invalid warnings are off for the
+    round's numeric work: a run ends the same under any warning filter.
+    """
     steps = _round_steps(state, train_first)
-    return steps.send(train_many(*next(steps)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return steps.send(train_many(*next(steps)))
 
 
 def run_round_pre(state: SimulationState) -> RoundRecord:

@@ -456,6 +456,20 @@ def test_main_run_logs_a_run_whose_upload_diverged_to_nan_and_goes_on(tmp_path, 
     assert (tmp_path / "out" / "nan" / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_HEADER)]
 
 
+@pytest.mark.parametrize("warning_filter", ["error", "always"])
+@pytest.mark.parametrize("line", ["[train]\nl2_reg = 1.7e308", "[train]\nlearning_rate = 1.7e308", "[data]\nclass_sep = 1e300"])
+def test_main_run_of_a_diverging_fedavg_run_ends_the_same_under_any_warning_filter(tmp_path, caplog, line, warning_filter):
+    # the training overflows to inf and NaN; FedAvg reads no loss, so every run completes, and warns of nothing
+    text = f"{line}\n[experiment]\nname = div\nseeds = 0\nrounds_max = 2\nschedulers = diversity_pre, diversity_post, random\n"
+    with warnings.catch_warnings(record=True) as caught, caplog.at_level(logging.ERROR):
+        warnings.simplefilter(warning_filter)
+        assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert (caught, caplog.records) == ([], [])
+    for scheduler in ("diversity_pre", "diversity_post", "random"):
+        assert len((tmp_path / "out" / "div" / scheduler / "seed_0" / "rounds.csv").read_text().splitlines()) == 3
+    assert len((tmp_path / "out" / "div" / "summary.csv").read_text().splitlines()) == 4
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "[experiment]\nrounds_max = 3\n")
     assert main(["run", bad]) == 2

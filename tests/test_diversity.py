@@ -360,7 +360,7 @@ def label_histograms(draw):
 
 
 def histogram_rule(counts, measure: str) -> float:
-    """README's float order: one 1-D numpy sum over the present classes (Shannon) or every class (Gini-Simpson)."""
+    """README's histogram rule ("Rules that keep bits"): one 1-D numpy sum over the present (Shannon) or all (Gini-Simpson) classes."""
     c = np.asarray(counts, dtype=float)
     if measure == "shannon":
         p = c[c > 0] / c.sum()

@@ -23,7 +23,6 @@ from feelsim.domain import (
     ModelParams,
     RoundRecord,
     ScheduleDecision,
-    _trusted_dataset_profile,
     left_sum,
 )
 from feelsim.engine import SimulationResult, SimulationState
@@ -62,15 +61,14 @@ def test_value_types_are_immutable():
             setattr(value, name, None)
 
 
-def test_trusted_dataset_profile_is_the_constructors_value():
-    # one per device is built past __init__; it must be the instance the constructor makes
-    trusted, built = _trusted_dataset_profile(0.5, 0.25), DatasetProfile(uncertainty=0.5, diversity_index=0.25)
-    assert type(trusted) is type(built) and not hasattr(trusted, "__dict__")
-    assert (trusted, hash(trusted), repr(trusted)) == (built, hash(built), repr(built))
-    for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted), dataclasses.replace(trusted)):
-        assert copied == built
+def test_dataset_profile_is_a_frozen_slots_value_that_round_trips():
+    # a fleet holds one per device, so it has slots and no __dict__
+    built = DatasetProfile(uncertainty=0.5, diversity_index=0.25)
+    assert not hasattr(built, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), dataclasses.replace(built)):
+        assert (type(copied), copied, hash(copied), repr(copied)) == (DatasetProfile, built, hash(built), repr(built))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(trusted, "diversity_index", 1.0)
+        setattr(built, "diversity_index", 1.0)
 
 
 def test_abort_is_read_off_the_participants():
