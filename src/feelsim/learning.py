@@ -8,15 +8,15 @@ penalty on the non-bias weights.  A round's devices train in lockstep
 then one per distinct ragged length, and the devices whose minibatch falls
 in the same slot take one stacked step, and an epoch's ragged steps run as
 one pass of the gradient kernel.  Every device ends with the bits it gets
-training alone (a diverged device's NaN sign aside, see ``train_many``).
+training alone (a diverged device's NaN sign aside, see ``train_many``), as
+``_shifted_exp_sums`` gives a softmax row the same bits in any block.
 Training returns models only, as the rows of one stack.  A device's final
 loss on its own data goes with its upload (``upload``), and is computed the
 first time it is read; ``local_train`` is both steps for one device.
-Aggregation is sample-count weighted averaging (FedAvg), with a q-FFL
-loss-reweighted variant that favors poorly served devices.  Only that
-variant at q > 0 reads a loss, so FedAvg computes none.  The reduction
-always runs in ascending device id so results are bit-deterministic
-regardless of caller ordering.
+``evaluate`` counts a test row whose softmax is NaN as wrong.  Aggregation
+is sample-count weighted averaging (FedAvg), with a q-FFL loss-reweighted
+variant that favors poorly served devices and alone reads a loss (at q >
+0).  Both reduce in ascending device id, whatever the caller's order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
 )
 
 _GATHER_ROWS = 1024  # rows of features and one-hot labels train_many gathers at a time
-_CHAIN_ROWS = 128  # rows from which the class-axis row max and row sum run as column chains
+_CHAIN_ROWS = 128  # rows from which _shifted_exp_sums runs the row max and row sum as column chains
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,14 @@ def _unpack(weights: np.ndarray, dim: int):
 
 
 def _column_chain(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=1)`` bit for bit, as ``ufunc`` over the columns left to right below 8 columns.
+    """``ufunc.reduce(a, axis=1)`` bit for bit below 8 columns, with the columns as numpy's outer loop.
 
-    numpy's reduce runs its inner loop once per row, a chain once per
-    column.  Below 8 terms ``np.add.reduce`` adds left to right and
-    ``np.maximum.reduce`` breaks a tie of ±0 as the chain does; from 8 (add)
-    or 9 (maximum) terms they do neither, so 8 columns and more keep the
-    reduce.  Which NaN a row keeps can differ between the two, so the rows
-    whose chain is NaN take the reduce.
+    On a column-major copy the reduce applies ``ufunc`` to every row once
+    per column, left to right from the add's +0.0 or the first column, as a
+    row's own reduce does below 8 terms, but with no inner loop per row.  A
+    NaN row can keep another NaN than its own reduce, so such rows take it.
     """
-    if a.shape[1] > 7:
-        return ufunc.reduce(a, axis=1)
-    out = a[:, 0].copy()
-    for column in a.T[1:]:
-        ufunc(out, column, out=out)
+    out = ufunc.reduce(np.asfortranarray(a), axis=1)
     nan = np.isnan(out)
     if nan.any():
         out[nan] = ufunc.reduce(a[nan], axis=1)
@@ -137,9 +131,13 @@ def _column_chain(ufunc, a: np.ndarray) -> np.ndarray:
 def _shifted_exp_sums(a: np.ndarray, out=None) -> np.ndarray:
     """Shift each row of ``a`` in place so its max is 0, put its ``exp`` in ``out``, and return the row sums.
 
-    The reduces' bits through ``_column_chain``, which pays from about
-    ``_CHAIN_ROWS`` rows; callers keep the reduces for smaller blocks.
+    The one place that picks how the rows reduce: as ``_column_chain``s from
+    ``_CHAIN_ROWS`` rows and below 8 columns, where they pay, and else as
+    numpy's row reduces, with the same bits bar a max's ±0, which no output sees.
     """
+    if a.shape[0] < _CHAIN_ROWS or a.shape[1] > 7:
+        a -= np.maximum.reduce(a, axis=1, keepdims=True)
+        return np.add.reduce(np.exp(a, out=out), axis=1)
     a -= _column_chain(np.maximum, a)[:, None]
     return _column_chain(np.add, np.exp(a, out=out))
 
@@ -147,10 +145,7 @@ def _shifted_exp_sums(a: np.ndarray, out=None) -> np.ndarray:
 def _softmax(features: np.ndarray, w_mat: np.ndarray, bias: np.ndarray):
     """Logits shifted so each row's max is 0, and the row sums of their exponentials."""
     logits = features @ w_mat.T + bias
-    if logits.shape[0] >= _CHAIN_ROWS:
-        return logits, _shifted_exp_sums(logits)
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    return logits, np.add.reduce(np.exp(logits), axis=1)
+    return logits, _shifted_exp_sums(logits)
 
 
 def _cross_entropy(logits: np.ndarray, z: np.ndarray, labels: np.ndarray) -> float:
@@ -183,13 +178,12 @@ def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: lis
     its loop and the second's in another (with AVX-512: a full vector
     against the loop's tail), so where a NaN meets a NaN its bits depend on
     where the pair sits in the call, and these additions run over the
-    step's own arrays.  The rest runs once over the whole buffer: the row
-    max and row sum give each row the bits of a reduce along its own k
-    entries (as column chains from ``_CHAIN_ROWS`` rows and below 8 classes,
-    where a NaN row takes the reduce), and a subtraction, division or exp
-    keeps the same bits wherever an element sits.  Subtracting the one-hot
-    row equals subtracting 1 at the label alone, since x - 0.0 == x for
-    every float, -0.0 and NaN included.
+    step's own arrays.  The rest runs once over the whole buffer:
+    ``_shifted_exp_sums`` gives each row the bits of the reduces along its
+    own k entries, and a subtraction, division or exp keeps the same bits
+    wherever an element sits.  Subtracting the one-hot row equals
+    subtracting 1 at the label alone, since x - 0.0 == x for every float,
+    -0.0 and NaN included.
     """
     dim = x.shape[1]
     w_mat = w[:, :, :dim]
@@ -203,13 +197,7 @@ def _pass_gradients(w: np.ndarray, x: np.ndarray, onehot: np.ndarray, steps: lis
         p += w[g:h, None, :, dim]
         parts.append((g, h, n, p, xb))
         g, r = h, s
-    if probs.shape[0] < _CHAIN_ROWS:
-        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    else:
-        z = _shifted_exp_sums(probs, out=probs)
-        probs /= z[:, None]
+    probs /= _shifted_exp_sums(probs, out=probs)[:, None]
     probs -= onehot
     penalty = l2_reg * w_mat
     grad = np.empty_like(w)
@@ -408,13 +396,13 @@ def _lockstep_steps(sizes: np.ndarray, batch: int, epochs: int) -> tuple:
 
 
 def evaluate(model: ModelParams, test: LocalDataset):
-    """(accuracy, mean cross-entropy) on a held-out classification set."""
+    """(accuracy, mean cross-entropy) on a held-out classification set; a NaN row predicts no class."""
     if test.task_kind != "classification" or test.n_samples == 0:
         raise EmptyDatasetError("evaluation needs a non-empty classification set")
     w_mat, bias = _unpack(model.weights, test.features.shape[1])
     logits, z = _softmax(test.features, w_mat, bias)
     loss = _cross_entropy(logits, z, test.labels)
-    accuracy = float((logits.argmax(axis=1) == test.labels).mean())
+    accuracy = float(((logits.argmax(axis=1) == test.labels) & ~np.isnan(z)).mean())  # argmax of a NaN row is 0
     return accuracy, loss
 
 

@@ -132,7 +132,7 @@ DIGESTS = {
     "post_batch_above_n": "0470d4ae106d05490ed8e14df52ab1e2541e6a5efb501b909c4728071fbc7904",
     "pre_batch_1": "7a07b141f191587a25e8a31f8b4a6d7b2c65c5ccc2860693a1924e69bfa13f28",
     "random_lognormal_wide": "f6bd2a1c873a74480efa0269e52a4115d473b441145522c0e76e0caa96135b8e",
-    "post_diverging_fedavg": "79658d72a0b9682a4d7a6318a8ca264c979e469e1c2f394c81a9998ee3fda7f7",
+    "post_diverging_fedavg": "310ce4f3582cf3b634634608bf8b6ed18d78ae463865b626331b47d0224703f4",
     "post_loss_weighted_q2": "f6d040682895e0ef6ecbffcbde279164baf1f656349494268ed76ef72b5f2414",
     "data_size": "c9572c96f62c6a3e5770969f6273918e6a84efee76d969e01a5ac10002e59068",
     "age_fair": "3c1b12ac482336183ed94160d7bdb6f05e6732fc11c1b13fb886c039f74290dd",
@@ -156,6 +156,7 @@ def test_diverging_run_goes_nan():
     with np.errstate(all="ignore"):
         result = run_simulation(CORPUS["post_diverging_fedavg"]())
     assert np.isnan(result.final_model.weights).all()
+    assert all(r.global_accuracy == 0.0 for r in result.rounds)  # a NaN model predicts no class
 
 
 def test_diverging_run_under_loss_weighting_raises():

@@ -432,22 +432,30 @@ def _reduce_softmax(logits):
 @example(k=6, rows=learning._CHAIN_ROWS, seed=0)
 @example(k=9, rows=learning._CHAIN_ROWS, seed=0)  # from 9 terms the max reduce breaks row 0's ±0 tie otherwise than a chain
 def test_column_chains_keep_the_bits_of_the_row_reduces(k, rows, seed):
+    # which zero the max keeps from a tie of ±0 depends on numpy's SIMD level, and under AVX2 on the
+    # row's place in the block; the shifted logits then differ only in the sign of a zero, which no
+    # output sees (exp(±0) = 1, argmax takes ±0 as equal), so they compare as x + 0.0, -0.0 read as +0.0
     rng = np.random.default_rng(seed)
     logits = _edge_values(rng, (rows, k))
     logits[0] = -1.0
     logits[0, :2] = (-0.0, 0.0)  # a tie of ±0 as a row's max
     with np.errstate(all="ignore"):
+        if k <= 7:  # the chains' own contract, also on rows of ±0 alone, where the add starts from +0.0
+            for block in (logits, rng.choice([0.0, -0.0], size=(rows, k))):
+                assert np.array_equal(_bits(learning._column_chain(np.add, block)), _bits(np.add.reduce(block, axis=1)))
+                got_max = learning._column_chain(np.maximum, block)
+                assert np.array_equal(_bits(got_max + 0.0), _bits(np.maximum.reduce(block, axis=1) + 0.0))
         want, want_z = _reduce_softmax(logits)
         shifted = logits.copy()
         assert np.array_equal(_bits(learning._shifted_exp_sums(shifted)), _bits(want_z))
-        assert np.array_equal(_bits(shifted), _bits(want))
+        assert np.array_equal(_bits(shifted + 0.0), _bits(want + 0.0))
         probs = logits.copy()  # in place, as the gradient kernel calls it
         assert np.array_equal(_bits(learning._shifted_exp_sums(probs, out=probs)), _bits(want_z))
         assert np.array_equal(_bits(probs), _bits(np.exp(want)))
         # a row alone takes the reduces; inside a block it has the same bits
         for i in {0, rows - 1, *np.flatnonzero(np.isnan(want_z))[:2].tolist()}:
             alone, alone_z = _reduce_softmax(logits[i : i + 1])
-            assert np.array_equal(_bits(alone[0]), _bits(shifted[i])) and _bits(alone_z[0]) == _bits(want_z[i])
+            assert np.array_equal(_bits(alone[0] + 0.0), _bits(shifted[i] + 0.0)) and _bits(alone_z[0]) == _bits(want_z[i])
         # the callers give the reduces' bits with every block on the chains, with none and at the threshold
         dim = 3
         features, weights = _edge_values(rng, (rows, dim)), _edge_values(rng, k * (dim + 1))
@@ -461,7 +469,7 @@ def test_column_chains_keep_the_bits_of_the_row_reduces(k, rows, seed):
                 got, got_z = learning._softmax(features, w_mat, bias)
                 accuracy, loss = evaluate(ModelParams(weights), _dataset(features, labels))
                 results.append((accuracy, _bits(loss), _bits(learning._penalized_loss(weights, features, labels, 0.05))))
-            assert np.array_equal(_bits(got), _bits(want)) and np.array_equal(_bits(got_z), _bits(want_z))
+            assert np.array_equal(_bits(got + 0.0), _bits(want + 0.0)) and np.array_equal(_bits(got_z), _bits(want_z))
     assert results[0] == results[1] == results[2]
 
 
@@ -659,6 +667,17 @@ def test_evaluate_perfect_model_reaches_full_accuracy():
     weights = np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # class blocks (w|b)
     accuracy, _ = evaluate(ModelParams(weights), _dataset(features, labels))
     assert accuracy == 1.0
+
+
+def test_evaluate_counts_a_row_whose_softmax_is_nan_as_wrong():
+    # argmax of an all-NaN row is 0, so a NaN row must not be scored as a prediction of class 0
+    labels = np.zeros(4, dtype=int)
+    with np.errstate(invalid="ignore"):
+        accuracy, loss = evaluate(ModelParams(np.full(4, np.nan)), _dataset(np.ones((4, 1)), labels))
+        assert accuracy == 0.0 and math.isnan(loss)
+        # class 1's weight is inf: its logit is NaN at x = 0 and inf at x = 2, so only x = -1 predicts a class
+        accuracy, _ = evaluate(ModelParams([1.0, 0.0, np.inf, 0.0]), _dataset([[0.0], [-1.0], [2.0], [-1.0]], labels))
+    assert accuracy == 0.5
 
 
 def test_evaluate_empty_errors():
